@@ -26,11 +26,13 @@ test-purego:
 
 # Race-detector pass over the concurrent paths: the sweep engine and the
 # distributed coordinator/worker tier (and the packages whose shared
-# caches they exercise), the intra-packet parallel symbol decode in rx
-# (hard and soft), and the dsp kernel dispatch (shared SlideTab/FFT-plan
-# caches + the ForceScalar toggle).
+# caches they exercise), the shared job event log and SSE writer that
+# serve concurrent subscribers in both tiers (internal/api and the
+# cprecycle-bench HTTP surface), the intra-packet parallel symbol decode
+# in rx (hard and soft), and the dsp kernel dispatch (shared
+# SlideTab/FFT-plan caches + the ForceScalar toggle).
 test-race-sweep:
-	$(GO) test -race ./internal/sweep/... ./internal/wifi/ ./internal/experiments/ ./internal/rx/ ./internal/dsp/
+	$(GO) test -race ./internal/sweep/... ./internal/api/ ./cmd/cprecycle-bench/ ./internal/wifi/ ./internal/experiments/ ./internal/rx/ ./internal/dsp/
 
 # Short end-to-end sweep through the engine (sharded workers + waveform
 # pool) plus a 2-worker parallel-decode equivalence check, as run in CI.

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/sweep"
-	"repro/internal/sweep/dist"
 	"repro/internal/sweep/history"
 	"repro/internal/sweep/store"
 )
@@ -42,7 +41,7 @@ func decodeEnvelope(t *testing.T, resp *http.Response, wantStatus int, wantCode 
 func TestServeErrorEnvelope(t *testing.T) {
 	eng := sweep.New(sweep.Config{Workers: 1, ShardPackets: 2})
 	defer eng.Close()
-	srv := httptest.NewServer(dist.BearerAuth("tok", apiMux(engineBackend{eng: eng}, nil)))
+	srv := httptest.NewServer(api.BearerAuth("tok", apiMux(engineBackend{eng: eng}, nil)))
 	defer srv.Close()
 
 	do := func(method, path, token, body string) *http.Response {

@@ -1,9 +1,9 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,68 +22,19 @@ import (
 // stdout — so `-submit -join URL` composes with shell pipelines exactly
 // like a local run. Exit is non-nil when the job fails server-side or
 // the stream breaks.
-type submitClient struct {
-	base  string
-	token string
-	http  *http.Client
-}
+type submitClient struct{ api.Client }
 
 func newSubmitClient(base, token string) *submitClient {
-	return &submitClient{
-		base:  strings.TrimRight(base, "/"),
-		token: token,
-		// No overall timeout: the SSE stream legitimately lasts as long
-		// as the sweep. Dial/TLS limits come from the default transport.
-		http: &http.Client{},
-	}
-}
-
-func (c *submitClient) request(method, path string, body io.Reader, headers ...string) (*http.Response, error) {
-	req, err := http.NewRequest(method, c.base+path, body)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	for i := 0; i+1 < len(headers); i += 2 {
-		req.Header.Set(headers[i], headers[i+1])
-	}
-	return c.http.Do(req)
-}
-
-// fail decodes the server's {"error":{"code","message"}} envelope into
-// an error (see internal/api).
-func fail(resp *http.Response) error {
-	defer resp.Body.Close()
-	var e api.ErrorBody
-	if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&e) == nil && e.Error.Message != "" {
-		return fmt.Errorf("HTTP %d (%s): %s", resp.StatusCode, e.Error.Code, e.Error.Message)
-	}
-	return fmt.Errorf("HTTP %d", resp.StatusCode)
+	// The zero HTTP client is http.DefaultClient: no overall timeout, as
+	// the SSE stream legitimately lasts as long as the sweep.
+	return &submitClient{api.Client{Base: strings.TrimRight(base, "/"), Token: token}}
 }
 
 // run submits the spec and follows it to completion.
 func (c *submitClient) run(spec sweep.Spec) error {
-	payload, err := json.Marshal(spec)
-	if err != nil {
-		return err
-	}
-	resp, err := c.request(http.MethodPost, "/v1/jobs", bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return fail(resp)
-	}
 	var prog sweep.Progress
-	err = json.NewDecoder(resp.Body).Decode(&prog)
-	resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("decoding job submission: %w", err)
+	if err := c.Call(context.Background(), http.MethodPost, "/v1/jobs", spec, &prog); err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "job %s: %s, %d points, %d packets\n", prog.ID, prog.Experiment, prog.Points, prog.Packets)
 
@@ -124,56 +75,40 @@ func (c *submitClient) follow(id string) (sweep.Progress, error) {
 // error (done == true with err), or a retriable stream break (done ==
 // false). lastEventID is updated as point events arrive.
 func (c *submitClient) followOnce(id string, lastEventID *string, start time.Time) (final sweep.Progress, done bool, err error) {
-	var headers []string
-	if *lastEventID != "" {
-		headers = append(headers, "Last-Event-ID", *lastEventID)
-	}
-	resp, err := c.request(http.MethodGet, "/v1/jobs/"+id+"/events", nil, headers...)
+	body, err := c.Open(context.Background(), "/v1/jobs/"+id+"/events", *lastEventID)
 	if err != nil {
-		return final, false, err
+		// A server that answered with a non-OK status (job pruned, auth)
+		// will not improve on retry; a transport error might.
+		var se *api.StatusError
+		return final, errors.As(err, &se), err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// The server answered: a non-OK status (job pruned, auth) will
-		// not improve on retry.
-		return final, true, fail(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	event, data, evID := "", "", ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "id: "):
-			evID = strings.TrimPrefix(line, "id: ")
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		case line == "":
-			if event == "" && data == "" {
-				continue
+	defer body.Close()
+	var fatal error
+	err = api.ReadSSE(body, func(ev api.Event) bool {
+		switch ev.Event {
+		case "point":
+			var pe sweep.PointEvent
+			if fatal = json.Unmarshal([]byte(ev.Data), &pe); fatal != nil {
+				fatal = fmt.Errorf("bad point event %q: %w", ev.Data, fatal)
+				return false
 			}
-			switch event {
-			case "point":
-				var ev sweep.PointEvent
-				if err := json.Unmarshal([]byte(data), &ev); err != nil {
-					return final, true, fmt.Errorf("bad point event %q: %w", data, err)
-				}
-				if evID != "" {
-					*lastEventID = evID
-				}
-				fmt.Fprintf(os.Stderr, "point %d done (%d/%d, %v)\n", ev.Point, ev.DonePoints, ev.Points, time.Since(start).Round(time.Millisecond))
-			case "done":
-				if err := json.Unmarshal([]byte(data), &final); err != nil {
-					return final, true, fmt.Errorf("bad terminal event %q: %w", data, err)
-				}
-				return final, true, nil
+			if ev.ID != "" {
+				*lastEventID = ev.ID
 			}
-			event, data = "", ""
+			fmt.Fprintf(os.Stderr, "point %d done (%d/%d, %v)\n", pe.Point, pe.DonePoints, pe.Points, time.Since(start).Round(time.Millisecond))
+		case "done":
+			if fatal = json.Unmarshal([]byte(ev.Data), &final); fatal != nil {
+				fatal = fmt.Errorf("bad terminal event %q: %w", ev.Data, fatal)
+			}
+			done = true
+			return false
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return true
+	})
+	switch {
+	case done || fatal != nil:
+		return final, true, fatal
+	case err != nil:
 		return final, false, err
 	}
 	return final, false, fmt.Errorf("stream ended without a terminal event")
@@ -183,20 +118,13 @@ func (c *submitClient) followOnce(id string, lastEventID *string, start time.Tim
 // -fleet. A 404 means an older server without the endpoint: skip
 // silently, the worker table below still works.
 func (c *submitClient) showStatus() error {
-	resp, err := c.request(http.MethodGet, "/v1/status", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
+	var s statusSnapshot
+	err := c.Call(context.Background(), http.MethodGet, "/v1/status", nil, &s)
+	if api.IsStatus(err, http.StatusNotFound) {
 		return nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fail(resp)
-	}
-	var s statusSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		return fmt.Errorf("decoding status: %w", err)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("%s up %s  jobs: %d running / %d done / %d failed\n",
 		s.Mode, (time.Duration(s.UptimeSec) * time.Second).Round(time.Second),
@@ -213,33 +141,11 @@ func (c *submitClient) showStatus() error {
 	return nil
 }
 
-// listWorkers prints the coordinator's worker registry (-fleet),
-// following the listing's pagination cursor until it is exhausted.
+// listWorkers prints the coordinator's worker registry (-fleet).
 func (c *submitClient) listWorkers() error {
-	var infos []dist.WorkerInfo
-	cursor := ""
-	for {
-		path := "/v1/dist/workers"
-		if cursor != "" {
-			path += "?cursor=" + cursor
-		}
-		resp, err := c.request(http.MethodGet, path, nil)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fail(resp)
-		}
-		var page api.List[dist.WorkerInfo]
-		err = json.NewDecoder(resp.Body).Decode(&page)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("decoding worker list: %w", err)
-		}
-		infos = append(infos, page.Items...)
-		if cursor = page.NextCursor; cursor == "" {
-			break
-		}
+	infos, err := dist.ListWorkers(context.Background(), c.Client)
+	if err != nil {
+		return err
 	}
 	if len(infos) == 0 {
 		fmt.Println("no registered workers")
@@ -261,24 +167,15 @@ func (c *submitClient) listWorkers() error {
 	return nil
 }
 
-// drainWorker / revokeWorker drive the coordinator's worker-lifecycle
-// admin endpoints (-drain / -revoke).
-func (c *submitClient) drainWorker(id string) error {
-	return c.workerAction(id, "drain", "draining (finishes its in-flight lease, then deregisters)")
-}
-
-func (c *submitClient) revokeWorker(id string) error {
-	return c.workerAction(id, "revoke", "revoked (token dead, leases re-queued)")
-}
-
-func (c *submitClient) workerAction(id, action, desc string) error {
-	resp, err := c.request(http.MethodPost, "/v1/dist/workers/"+id+"/"+action, strings.NewReader("{}"))
-	if err != nil {
+// workerAction drives the coordinator's worker-lifecycle admin
+// endpoints (-drain / -revoke), printing what the action means.
+func (c *submitClient) workerAction(id, action string) error {
+	if err := dist.WorkerAction(context.Background(), c.Client, id, action); err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fail(resp)
+	desc := "draining (finishes its in-flight lease, then deregisters)"
+	if action == "revoke" {
+		desc = "revoked (token dead, leases re-queued)"
 	}
 	fmt.Printf("worker %s %s\n", id, desc)
 	return nil
@@ -286,14 +183,11 @@ func (c *submitClient) workerAction(id, action, desc string) error {
 
 // printTable fetches the finished job's rendered table to stdout.
 func (c *submitClient) printTable(id string) error {
-	resp, err := c.request(http.MethodGet, "/v1/jobs/"+id+"/table", nil)
+	body, err := c.Open(context.Background(), "/v1/jobs/"+id+"/table", "")
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fail(resp)
-	}
-	_, err = io.Copy(os.Stdout, resp.Body)
+	defer body.Close()
+	_, err = io.Copy(os.Stdout, body)
 	return err
 }

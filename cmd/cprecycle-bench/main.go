@@ -1,7 +1,7 @@
 // Command cprecycle-bench regenerates the paper's tables and figures at
 // configurable fidelity. Each experiment prints an aligned text table whose
-// rows mirror the corresponding figure's series (see DESIGN.md §4 for the
-// experiment index and EXPERIMENTS.md for paper-vs-measured results).
+// rows mirror the corresponding figure's series (-list prints the
+// experiment ids; internal/experiments documents each one).
 //
 // The packet-success-rate sweeps (fig5, fig8-fig12, fig14, the ablations
 // and delay-spread) run on the sharded sweep engine (internal/sweep): each
@@ -75,16 +75,14 @@
 //	$ curl :8080/v1/history/sweeps/$FP/table      # byte-identical to the live run
 //	$ curl ':8080/v1/history/diff?a=FP1&b=FP2'    # per-point tally deltas
 //
-// Migrating from pre-store versions: point -store at the old -journal
-// directory. Any legacy JSON-lines journals (*.jsonl) found there are
-// imported into the store once and renamed *.jsonl.migrated; unparsable
-// files are left untouched and logged. The deprecated -journal flag is
-// an alias for -store during the transition.
-//
 // Serve mode (-serve ADDR) exposes an in-process engine over HTTP;
 // coordinator mode (-coordinator ADDR) serves the identical client API
 // but executes nothing itself, handing point-range leases to -worker
-// processes instead. The complete /v1 surface (jobs + history + worker
+// processes instead. Both modes serve the same job shape — engine and
+// coordinator jobs share one event log (sweep.JobLog) — through one SSE
+// writer (api.ServeSSE, also behind the fleet stream), and every client
+// mode here (-submit, -fleet, -drain, -revoke, -worker, -supervisor)
+// speaks through one /v1 client (api.Client). The complete /v1 surface (jobs + history + worker
 // tier + observability — the history and dist endpoints appear only on
 // servers run with -store / -coordinator respectively):
 //
@@ -321,6 +319,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/experiments"
 	"repro/internal/sweep"
 	"repro/internal/sweep/dist"
@@ -373,7 +372,7 @@ func main() {
 		poolSize = flag.Int("pool-size", 0, "pre-encoded waveforms per (grid, MCS); 0 = default")
 		workers  = flag.Int("workers", 0, "engine worker goroutines; 0 = GOMAXPROCS")
 		shardPk  = flag.Int("shard", 0, "packets per engine shard; 0 = default")
-		storeDir = flag.String("store", "", "content-addressed result store directory: sweep experiments checkpoint per-point tallies here and resume from them; legacy *.jsonl journals found in the directory are migrated once")
+		storeDir = flag.String("store", "", "content-addressed result store directory: sweep experiments checkpoint per-point tallies here and resume from them")
 		storeMax = flag.Int64("store-max-bytes", 0, "result store size budget in bytes: when Puts push the store past it, least-recently-hit segments are evicted (records pinned by live jobs are never evicted); 0 = unlimited")
 		serve    = flag.String("serve", "", "serve the sweep engine over HTTP on this address instead of running experiments")
 
@@ -382,7 +381,6 @@ func main() {
 		submitFlg = flag.Bool("submit", false, "submit the selected sweep experiment to the -join server, stream per-point progress and print the table")
 		join      = flag.String("join", "", "server base URL (e.g. http://host:8080) for -worker, -submit and the fleet admin flags")
 		token     = flag.String("token", "", "fleet join secret: enforced by -serve/-coordinator when set, presented by -worker/-submit and the fleet admin flags")
-		journal   = flag.String("journal", "", "deprecated alias for -store (the JSON-lines journal was replaced by the binary result store)")
 		memBudget = flag.Int64("mem-budget", 0, "worker heap budget in MiB: the worker samples runtime/metrics heap use and gracefully self-drains when it exceeds the budget; 0 = unlimited")
 		cpuBudget = flag.Float64("cpu-budget", 0, "worker CPU budget in cores: the worker samples its own process CPU time (/proc/self/stat, falling back to runtime metrics) and gracefully self-drains when the rate stays over budget; 0 = unlimited")
 		wkrName   = flag.String("worker-name", "", "worker: self-reported fleet name (default host:pid); the supervisor names its spawns with this")
@@ -417,11 +415,6 @@ func main() {
 		lg = slog.New(slog.NewJSONHandler(os.Stderr, hopts))
 	} else {
 		lg = slog.New(slog.NewTextHandler(os.Stderr, hopts))
-	}
-
-	if *storeDir == "" && *journal != "" {
-		*storeDir = *journal
-		lg.Warn("-journal is deprecated: treating it as -store (journals are migrated into the binary store)", "dir", *storeDir)
 	}
 
 	reg := registry()
@@ -491,7 +484,7 @@ func main() {
 		defer w.Close()
 		if *obsAddr != "" {
 			go func() {
-				if err := listen(*obsAddr, dist.BearerAuth(*token, workerObsHandler(w)), "worker observability"); err != nil {
+				if err := listen(*obsAddr, api.BearerAuth(*token, workerObsHandler(w)), "worker observability"); err != nil {
 					lg.Error("worker observability server", "err", err)
 				}
 			}()
@@ -562,7 +555,7 @@ func main() {
 		}
 		if *obsAddr != "" {
 			go func() {
-				if err := listen(*obsAddr, dist.BearerAuth(*token, supervisorObsHandler(s)), "supervisor observability"); err != nil {
+				if err := listen(*obsAddr, api.BearerAuth(*token, supervisorObsHandler(s)), "supervisor observability"); err != nil {
 					lg.Error("supervisor observability server", "err", err)
 				}
 			}()
@@ -597,9 +590,9 @@ func main() {
 		var err error
 		switch {
 		case *drainID != "":
-			err = cl.drainWorker(*drainID)
+			err = cl.workerAction(*drainID, "drain")
 		case *revokeID != "":
-			err = cl.revokeWorker(*revokeID)
+			err = cl.workerAction(*revokeID, "revoke")
 		default:
 			if err = cl.showStatus(); err == nil {
 				err = cl.listWorkers()
@@ -731,8 +724,7 @@ func main() {
 	}
 }
 
-// openStore opens (creating if needed) the result store at dir and runs
-// the one-shot migration of any legacy *.jsonl journals found there.
+// openStore opens (creating if needed) the result store at dir.
 // maxBytes > 0 arms the store's LRU segment eviction.
 func openStore(dir string, maxBytes int64) (*store.Store, error) {
 	st, stats, err := store.Open(dir, store.Options{MaxBytes: maxBytes})
@@ -742,16 +734,6 @@ func openStore(dir string, maxBytes int64) (*store.Store, error) {
 	if stats.DamagedSegments > 0 {
 		lg.Warn("store recovered past damage", "dir", dir,
 			"segments", stats.Segments, "damaged", stats.DamagedSegments, "records", stats.Records)
-	}
-	res, err := sweep.MigrateDir(dir, st)
-	if err != nil {
-		return nil, err
-	}
-	if res.Journals > 0 {
-		lg.Info("migrated legacy journals into store", "dir", dir, "journals", res.Journals, "points", res.Points)
-	}
-	for _, s := range res.Skipped {
-		lg.Warn("unparsable legacy journal left in place", "journal", s)
 	}
 	return st, nil
 }

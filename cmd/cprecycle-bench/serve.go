@@ -25,7 +25,7 @@ import (
 // serveJob is one job as the HTTP layer sees it.
 type serveJob interface {
 	Progress() sweep.Progress
-	Subscribe() (past []sweep.PointEvent, ch <-chan sweep.PointEvent, cancel func())
+	Subscribe(after int) (past []sweep.PointEvent, ch <-chan sweep.PointEvent, cancel func())
 	Done() <-chan struct{}
 	Wait(ctx context.Context) (*sweep.Result, error)
 }
@@ -255,71 +255,14 @@ func apiMux(b serveBackend, hist http.Handler, extras ...func(io.Writer)) *http.
 		if !ok {
 			return
 		}
-		if _, ok := w.(http.Flusher); !ok {
-			writeErr(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by this connection"))
-			return
-		}
-		rc := http.NewResponseController(w)
-		lastSeq := -1
-		if v := r.Header.Get("Last-Event-ID"); v != "" {
-			// A malformed id is ignored (full replay) rather than
-			// rejected: the header is a resume hint, not a contract.
-			if n, err := strconv.Atoi(v); err == nil {
-				lastSeq = n
-			}
-		}
-		past, ch, cancel := j.Subscribe()
-		defer cancel()
-		h := w.Header()
-		h.Set("Content-Type", "text/event-stream")
-		h.Set("Cache-Control", "no-cache")
-		h.Set("Connection", "keep-alive")
-		w.WriteHeader(http.StatusOK)
-		// A write error means the subscriber went away; stop streaming
-		// (the deferred cancel releases the subscription either way).
-		emit := func(event, id string, v any) bool {
-			data, err := json.Marshal(v)
-			if err != nil {
-				lg.Warn("marshalling event", "event", event, "err", err)
-				return false
-			}
-			if id != "" {
-				if _, err := fmt.Fprintf(w, "id: %s\n", id); err != nil {
-					return false
-				}
-			}
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data); err != nil {
-				return false
-			}
-			// Flush errors mean the client is gone: stop now instead of
-			// spinning until the next event's write fails.
-			return rc.Flush() == nil
-		}
-		point := func(ev sweep.PointEvent) bool {
-			if ev.Seq <= lastSeq {
-				return true // already delivered before the reconnect
-			}
-			return emit("point", strconv.Itoa(ev.Seq), ev)
-		}
-		for _, ev := range past {
-			if !point(ev) {
-				return
-			}
-		}
-		for {
-			select {
-			case <-r.Context().Done():
-				return
-			case ev, open := <-ch:
-				if !open {
-					// Channel closed: the job settled (done or failed).
-					emit("done", "", j.Progress())
-					return
-				}
-				if !point(ev) {
-					return
-				}
-			}
+		err := api.ServeSSE(w, r, j.Subscribe, func(ev sweep.PointEvent) api.Frame {
+			return api.Frame{ID: strconv.Itoa(ev.Seq), Event: "point", Data: ev}
+		}, func() api.Frame {
+			// The live channel closed: the job settled (done or failed).
+			return api.Frame{Event: "done", Data: j.Progress()}
+		})
+		if err != nil {
+			lg.Warn("streaming job events", "err", err)
 		}
 	})
 
@@ -370,7 +313,7 @@ func historyHandler(hist *history.Index, st *store.Store) http.Handler {
 // (nil without -store) adds the results-history query surface.
 func runServe(addr, token string, eng *sweep.Engine, hist *history.Index, st *store.Store) error {
 	h := apiMux(engineBackend{eng: eng, hist: hist}, historyHandler(hist, st))
-	return listen(addr, dist.BearerAuth(token, h), "sweep engine")
+	return listen(addr, api.BearerAuth(token, h), "sweep engine")
 }
 
 // runCoordinator exposes a distributed coordinator: the client API plus
@@ -382,6 +325,6 @@ func runCoordinator(addr, token string, c *dist.Coordinator, hist *history.Index
 	root := http.NewServeMux()
 	root.Handle("/v1/dist/", c.Handler())
 	h := apiMux(coordBackend{c: c, hist: hist}, historyHandler(hist, c.Store()), c.WritePrometheus)
-	root.Handle("/", dist.BearerAuth(token, h))
+	root.Handle("/", api.BearerAuth(token, h))
 	return listen(addr, root, "sweep coordinator")
 }

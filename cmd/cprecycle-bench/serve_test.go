@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/sweep"
 	"repro/internal/sweep/dist"
 )
@@ -22,7 +23,7 @@ import (
 func TestServeAPI(t *testing.T) {
 	eng := sweep.New(sweep.Config{Workers: 2, ShardPackets: 2})
 	defer eng.Close()
-	srv := httptest.NewServer(dist.BearerAuth("tok", apiMux(engineBackend{eng: eng}, nil)))
+	srv := httptest.NewServer(api.BearerAuth("tok", apiMux(engineBackend{eng: eng}, nil)))
 	defer srv.Close()
 
 	get := func(path, token string) *http.Response {
@@ -373,9 +374,46 @@ func TestServeSSEStopsOnFlushError(t *testing.T) {
 	if w.flushes != 1 {
 		t.Errorf("flush attempts = %d, want 1 (stream must end at the first failed flush)", w.flushes)
 	}
-	// One replayed point is two writes (id line, then event+data); the
-	// second point must never be written.
-	if w.writes != 2 {
-		t.Errorf("event writes = %d, want 2 (id + body of the first point only)", w.writes)
+	// One replayed point is one write (its whole id/event/data frame);
+	// the second point must never be written.
+	if w.writes != 1 {
+		t.Errorf("event writes = %d, want 1 (the first point's frame only)", w.writes)
+	}
+}
+
+// noFlushWriter is a ResponseWriter that cannot stream (no Flush).
+type noFlushWriter struct{ rec *httptest.ResponseRecorder }
+
+func (w noFlushWriter) Header() http.Header         { return w.rec.Header() }
+func (w noFlushWriter) Write(p []byte) (int, error) { return w.rec.Write(p) }
+func (w noFlushWriter) WriteHeader(code int)        { w.rec.WriteHeader(code) }
+
+// TestSSENoFlusherAnswersEnvelope pins that both event streams — a job's
+// points and the coordinator's fleet events — answer a connection that
+// cannot stream with the /v1 JSON error envelope, not plain text.
+func TestSSENoFlusherAnswersEnvelope(t *testing.T) {
+	c, err := dist.New(dist.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	job, err := c.Submit(sweep.Spec{Experiment: "fig8", Packets: 2, PSDUBytes: 60, Axis: []float64{-10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := http.NewServeMux()
+	root.Handle("/v1/dist/", c.Handler())
+	root.Handle("/", apiMux(coordBackend{c: c}, nil))
+	for _, path := range []string{"/v1/jobs/" + job.ID + "/events", "/v1/dist/events"} {
+		rec := httptest.NewRecorder()
+		root.ServeHTTP(noFlushWriter{rec}, httptest.NewRequest(http.MethodGet, path, nil))
+		var body api.ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s: body %q is not the error envelope: %v", path, rec.Body.String(), err)
+		}
+		if rec.Code != http.StatusInternalServerError || rec.Header().Get("Content-Type") != "application/json" ||
+			body.Error.Code != "internal" || body.Error.Message != "streaming unsupported by this connection" {
+			t.Errorf("%s: HTTP %d %q %+v", path, rec.Code, rec.Header().Get("Content-Type"), body)
+		}
 	}
 }

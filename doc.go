@@ -6,12 +6,13 @@
 // depends on (FFT/DSP primitives, 802.11a/g modulation and coding, OFDM
 // framing, channel models, interference scenarios, kernel density
 // estimation, a standard receiver chain, and a network-level deployment
-// simulator) is implemented in the other internal packages. See README.md
-// for the architecture overview, DESIGN.md for the system inventory and
-// per-experiment index, and EXPERIMENTS.md for paper-versus-measured
-// results. The benchmarks in bench_test.go regenerate every table and
-// figure of the paper's evaluation at reduced fidelity;
-// cmd/cprecycle-bench runs them at full fidelity.
+// simulator) is implemented in the other internal packages, each
+// documented in its package comment; cmd/cprecycle-bench's comment lists
+// the experiments and the service surface, and perfbench/README.md the
+// end-to-end benchmark. No paper-versus-measured record is committed yet.
+// The benchmarks in bench_test.go regenerate every table and figure of
+// the paper's evaluation at reduced fidelity; cmd/cprecycle-bench runs
+// them at full fidelity.
 //
 // The receiver hot path is incremental, planar and allocation-free: the
 // paper's P FFT windows per OFDM symbol — the scheme's main compute
@@ -59,7 +60,8 @@
 // per-packet preamble trainings with lazily-fitted KDE models
 // (core.Training) reused across receiver arms. Engine sharding is
 // bit-identical to the sequential path; jobs offer progress counters,
-// per-point event subscriptions, context cancellation, and durable
+// per-point event subscriptions (one event log, sweep.JobLog, shared
+// with the coordinator's jobs), context cancellation, and durable
 // resume through a content-addressed result store (internal/sweep/store:
 // bit-packed CRC-guarded records keyed by plan fingerprint, pool
 // identity and point identity; torn tails and corrupt records salvage
@@ -73,7 +75,9 @@
 // its byte-identical table without re-running a packet, and two sweeps
 // diffed point-by-point from stored tallies alone. The HTTP plumbing
 // every /v1 tier shares — the {"error":{"code","message"}} envelope,
-// bearer auth, limit/cursor pagination — lives in internal/api.
+// bearer auth, limit/cursor pagination, the one SSE writer and reader
+// behind both event streams, and the one /v1 client the CLI, the
+// supervisor and the dist worker speak through — lives in internal/api.
 //
 // The service scales across processes and machines through
 // internal/sweep/dist: a coordinator decomposes each job into point-range

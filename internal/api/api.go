@@ -1,6 +1,7 @@
 // Package api is the shared HTTP plumbing of the /v1 surface: one JSON
-// error envelope, bearer-token auth middleware, and limit/cursor
-// pagination helpers. The jobs API (cmd/cprecycle-bench), the dist
+// error envelope, bearer-token auth middleware, limit/cursor pagination
+// helpers, one SSE writer (ServeSSE) and reader (ReadSSE), and one /v1
+// client (Client). The jobs API (cmd/cprecycle-bench), the dist
 // coordinator's worker tier (internal/sweep/dist) and the results-history
 // surface (internal/sweep/history) all build on it, so every endpoint
 // answers failures in the same shape:

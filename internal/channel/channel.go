@@ -3,7 +3,7 @@
 // additive white Gaussian noise, carrier frequency offset, oscillator phase
 // noise, and power scaling to calibrated SNR/SIR operating points.
 //
-// These models replace the USRP testbed of the paper (see DESIGN.md §2):
+// These models replace the USRP testbed the paper measures on:
 // CPRecycle only observes post-ADC baseband samples, so a sample-accurate
 // baseband simulation exercises the identical receiver code paths.
 package channel

@@ -262,7 +262,7 @@ func TestCPRecycleUnderCCI(t *testing.T) {
 	// receiver, must decode reliably at the moderate SIR where both
 	// mechanisms coexist, and the oracle must show the larger headroom the
 	// paper's Fig. 11 reports. (Practical CCI gains in this simulator are
-	// smaller than the paper's testbed gains — see DESIGN.md §5 — because
+	// smaller than the paper's testbed gains because
 	// equal-symbol-period co-channel interference offers little
 	// per-segment diversity in a clean discrete-time model.)
 	const trials = 6

@@ -24,7 +24,8 @@
 //     paper's formulas, but in our simulator its pooled (segment-
 //     exchangeable) likelihood discards the persistent per-segment
 //     interference structure and trails the weighted realisation; kept as
-//     the reference and for the ablation study (DESIGN.md §5).
+//     the reference and for the ablation study
+//     (experiments.AblationDecision).
 //
 // All deciders plug into the shared 802.11 chain through rx.SymbolDecider,
 // so packet-success comparisons isolate exactly the decision stage — the

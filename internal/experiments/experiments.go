@@ -1,8 +1,8 @@
 // Package experiments contains the workload generators, parameter sweeps
 // and measurement harnesses that regenerate every table and figure of the
-// paper's evaluation (see DESIGN.md §4 for the experiment index). Each
-// experiment returns a Table whose rows mirror the series the paper plots;
-// EXPERIMENTS.md records paper-versus-measured values.
+// paper's evaluation (SweepExperiments and cprecycle-bench -list index
+// them). Each experiment returns a Table whose rows mirror the series the
+// paper plots; no paper-versus-measured record is committed yet.
 package experiments
 
 import (

@@ -102,7 +102,7 @@ func TestChaosByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, points, cancelSub := j.Subscribe()
+	_, points, cancelSub := j.Subscribe(-1)
 	defer cancelSub()
 	waitPoint := func(what string) {
 		t.Helper()
@@ -343,7 +343,7 @@ func TestNoIdlePolling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, events, cancel := j.Subscribe()
+	_, events, cancel := j.Subscribe(-1)
 	defer cancel()
 	select {
 	case <-events:

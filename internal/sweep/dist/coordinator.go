@@ -58,9 +58,7 @@ type Config struct {
 	// New replays the manifests against the store index, resuming
 	// interrupted jobs at their first missing point — and because points
 	// are keyed by content, repeated sweeps and cross-job duplicate
-	// points are served from the store instead of the fleet. Legacy
-	// *.jsonl journals found in the directory are migrated into the store
-	// once and renamed *.jsonl.migrated.
+	// points are served from the store instead of the fleet.
 	StoreDir string
 	// StoreNoSync skips the store's fsyncs (tests/benches only).
 	StoreNoSync bool
@@ -133,7 +131,7 @@ type workerState struct {
 // Coordinator owns distributed sweep jobs: it decomposes submitted specs
 // into per-point work, hands adaptively-sized point-range leases to
 // registered workers over long-polling HTTP (Handler), merges their
-// tallies bit-identically to a single in-process engine, journals
+// tallies bit-identically to a single in-process engine, persists
 // completed points for crash recovery, and publishes per-point and
 // fleet-wide events to subscribers. It runs no sweep computation itself
 // and spawns no goroutines of its own: all state advances inside worker
@@ -146,7 +144,7 @@ type Coordinator struct {
 
 	// Fleet counters, atomically maintained at the event sites and
 	// exported by Stats/WritePrometheus. Monotonic over this
-	// coordinator's life (journal replay does not reconstruct them).
+	// coordinator's life (manifest replay does not reconstruct them).
 	leasesGranted atomic.Int64
 	leaseExpiries atomic.Int64
 	requeuedPts   atomic.Int64
@@ -160,8 +158,8 @@ type Coordinator struct {
 
 	// store is the content-addressed result store (nil when the
 	// coordinator is not durable). Shared across jobs: a point computed
-	// by any job — or any previous coordinator life, or a migrated
-	// legacy journal — serves every later job that plans the same point.
+	// by any job — or any previous coordinator life — serves every later
+	// job that plans the same point.
 	store *store.Store
 
 	mu        sync.Mutex
@@ -193,8 +191,8 @@ type Coordinator struct {
 
 // New creates a coordinator. With cfg.StoreDir set the directory is
 // created if missing, the content-addressed result store is opened
-// (salvaging every intact record a crash left behind), legacy *.jsonl
-// journals are migrated into it, and the job manifests are replayed:
+// (salvaging every intact record a crash left behind), and the job
+// manifests are replayed:
 // every <id>.json becomes a job (same ID as its previous life) with its
 // stored points restored from the index — fully-stored jobs come back as
 // done, partial ones resume leasing at their first missing point. The
@@ -221,16 +219,6 @@ func New(cfg Config) (*Coordinator, error) {
 		if stats.DamagedSegments > 0 {
 			c.log.Warn("store recovered with damage", "segments", stats.Segments,
 				"records", stats.Records, "damaged", stats.DamagedSegments)
-		}
-		mig, err := sweep.MigrateDir(cfg.StoreDir, st)
-		if err != nil {
-			return nil, err
-		}
-		if mig.Journals > 0 {
-			c.log.Info("migrated legacy journals", "journals", mig.Journals, "points", mig.Points)
-		}
-		for _, skip := range mig.Skipped {
-			c.log.Warn("skipping unmigratable journal", "detail", skip)
 		}
 		if err := c.replayManifests(); err != nil {
 			return nil, err
@@ -294,9 +282,7 @@ func (c *Coordinator) manifestPath(id string) string {
 
 // replayManifests rebuilds jobs from the manifest files: each names a
 // spec whose completed points are then looked up in the store index —
-// resume is an index read, not a log replay. Leftover legacy journal
-// names (*.jsonl, *.jsonl.migrated) burn their job ids so a future
-// Submit cannot collide with them.
+// resume is an index read, not a log replay.
 func (c *Coordinator) replayManifests() error {
 	entries, err := os.ReadDir(c.cfg.StoreDir)
 	if err != nil {
@@ -304,17 +290,7 @@ func (c *Coordinator) replayManifests() error {
 	}
 	var ids []string
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), ".migrated")
-		if id, ok := strings.CutSuffix(name, ".jsonl"); ok {
-			if s := jobSeq(id); s > c.nextID {
-				c.nextID = s
-			}
-			continue
-		}
-		if id, ok := strings.CutSuffix(e.Name(), ".json"); ok {
+		if id, ok := strings.CutSuffix(e.Name(), ".json"); ok && !e.IsDir() {
 			ids = append(ids, id)
 		}
 	}
@@ -327,7 +303,7 @@ func (c *Coordinator) replayManifests() error {
 		if err != nil {
 			return err
 		}
-		var hdr sweep.JournalHeader
+		var hdr sweep.Manifest
 		if err := json.Unmarshal(data, &hdr); err != nil || hdr.V != 1 {
 			// Unparsable manifests must not crash-loop the coordinator: a
 			// foreign file can land in the directory. It holds no state we
@@ -388,8 +364,6 @@ func (c *Coordinator) newJob(spec sweep.Spec) (*Job, error) {
 		fingerprint: plan.Fingerprint(),
 		points:      make([]distPoint, len(plan.Points)),
 		leases:      make(map[string]*lease),
-		start:       time.Now(),
-		done:        make(chan struct{}),
 	}
 	for i := range plan.Points {
 		pkts := plan.Points[i].Cfg.Packets
@@ -397,12 +371,14 @@ func (c *Coordinator) newJob(spec sweep.Spec) (*Job, error) {
 		j.points[i].arms = len(plan.Points[i].Cfg.Receivers)
 		j.totalPackets += int64(pkts)
 	}
+	var unpin func()
 	if c.store != nil {
 		j.keys = sweep.PlanKeys(plan, spec.Pool, c.cfg.PoolSize, c.cfg.PoolSeed)
 		// Pin the job's key set so the MaxBytes GC cannot collect records
-		// a live job still references; released when the job finishes.
-		j.unpin = c.store.Pin(j.keys...)
+		// a live job still references; released when the job settles.
+		unpin = c.store.Pin(j.keys...)
 	}
+	j.JobLog = sweep.NewJobLog(len(plan.Points), unpin)
 	j.rebuildPending()
 	return j, nil
 }
@@ -418,10 +394,9 @@ func (c *Coordinator) Submit(spec sweep.Spec) (*Job, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		if j.unpin != nil {
-			j.unpin()
-		}
-		return nil, fmt.Errorf("dist: coordinator is closed")
+		err := fmt.Errorf("dist: coordinator is closed")
+		j.Finish(nil, nil, err) // releases the job's store pins
+		return nil, err
 	}
 	c.nextID++
 	j.ID = fmt.Sprintf("j%d", c.nextID)
@@ -430,7 +405,7 @@ func (c *Coordinator) Submit(spec sweep.Spec) (*Job, error) {
 	c.mu.Unlock()
 
 	if path := c.manifestPath(j.ID); path != "" {
-		hdr := sweep.JournalHeader{V: 1, Spec: j.Spec, Points: len(j.points)}
+		hdr := sweep.Manifest{V: 1, Spec: j.Spec, Points: len(j.points)}
 		if j.Spec.Pool {
 			hdr.PoolSize = c.cfg.PoolSize
 			hdr.PoolSeed = c.cfg.PoolSeed
@@ -454,7 +429,7 @@ func (c *Coordinator) Submit(spec sweep.Spec) (*Job, error) {
 	// here exactly once.
 	j.mu.Lock()
 	j.absorbStoreLocked(true)
-	if !j.finished && len(j.points) == 0 {
+	if len(j.points) == 0 {
 		j.finalizeLocked()
 	}
 	j.mu.Unlock()
@@ -507,9 +482,7 @@ func (c *Coordinator) Remove(id string) bool {
 		return false
 	}
 	j.mu.Lock()
-	if !j.finished {
-		j.failLocked(context.Canceled)
-	}
+	j.failLocked(context.Canceled)
 	j.mu.Unlock()
 	if path := c.manifestPath(id); path != "" {
 		os.Remove(path)
@@ -911,16 +884,17 @@ type lease struct {
 }
 
 // Job is one distributed sweep job. All methods are safe for concurrent
-// use.
+// use. Its point stream, Wait and Done come from the embedded
+// sweep.JobLog, whose lock nests inside j.mu.
 type Job struct {
 	ID   string
 	Spec sweep.Spec // normalised
+	*sweep.JobLog
 
 	coord        *Coordinator
 	plan         *experiments.SweepPlan
 	fingerprint  string
 	totalPackets int64
-	start        time.Time
 
 	mu         sync.Mutex
 	points     []distPoint
@@ -935,18 +909,8 @@ type Job struct {
 	// single point until then).
 	estPerPoint float64
 	// keys are the per-point content-address store keys (nil when the
-	// coordinator is not durable); unpin releases their eviction pins.
-	keys     []store.Key
-	unpin    func()
-	events   []sweep.PointEvent
-	subs     map[int]chan sweep.PointEvent
-	nextSub  int
-	err      error
-	table    *experiments.Table
-	results  [][]experiments.PSRPoint
-	elapsed  time.Duration
-	finished bool
-	done     chan struct{}
+	// coordinator is not durable).
+	keys []store.Key
 }
 
 // Plan returns the job's sweep plan (read-only).
@@ -1026,11 +990,8 @@ func (j *Job) grantLease(ws *workerState, now time.Time, activeWorkers int) *Lea
 	cfg := j.coord.cfg
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.finished {
-		return nil
-	}
 	j.absorbStoreLocked(false)
-	if j.finished {
+	if j.Finished() {
 		return nil
 	}
 	for id, l := range j.leases {
@@ -1125,7 +1086,7 @@ func (j *Job) heartbeat(hb Heartbeat, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	l, ok := j.leases[hb.Lease]
-	if !ok || j.finished {
+	if !ok || j.Finished() {
 		return false
 	}
 	l.expires = now.Add(j.coord.cfg.LeaseTTL)
@@ -1175,20 +1136,13 @@ func (j *Job) markDoneLocked(idx int, p sweep.PointTally, persist bool) bool {
 			return true
 		}
 	}
-	ev := sweep.PointEvent{
-		Seq: len(j.events), Point: idx, N: pt.n, OK: pt.ok,
-		DonePoints: j.donePoints, Points: len(j.points),
-	}
-	j.events = append(j.events, ev)
-	for _, ch := range j.subs {
-		ch <- ev
-	}
+	j.Publish(sweep.PointEvent{Point: idx, N: pt.n, OK: pt.ok, DonePoints: j.donePoints, Points: len(j.points)})
 	return true
 }
 
 // absorbStoreLocked restores every not-yet-done point whose
 // content-address key the store already holds — points computed by
-// other jobs, previous coordinator lives, or migrated journals. Returns
+// other jobs or previous coordinator lives. Returns
 // how many points it restored; when any were, the pending queue is
 // rebuilt, leases made fully redundant are cancelled, and a now-complete
 // job is finalized. countMisses makes absent points count as store
@@ -1196,7 +1150,7 @@ func (j *Job) markDoneLocked(idx int, p sweep.PointTally, persist bool) bool {
 // its miss exactly once). Callers hold j.mu.
 func (j *Job) absorbStoreLocked(countMisses bool) int {
 	st := j.coord.store
-	if st == nil || j.finished {
+	if st == nil || j.Finished() {
 		return 0
 	}
 	restored := 0
@@ -1217,7 +1171,7 @@ func (j *Job) absorbStoreLocked(countMisses bool) int {
 		j.markDoneLocked(i, sweep.PointTally{Point: i, N: t.N, OK: t.OK}, false)
 		j.restored++
 		restored++
-		if j.finished { // markDoneLocked can fail the job
+		if j.Finished() { // markDoneLocked can fail the job
 			return restored
 		}
 	}
@@ -1274,7 +1228,7 @@ func (j *Job) result(res LeaseResult) error {
 		j.coord.untrackLease(l.worker, res.Lease)
 		defer j.coord.forgetLease(res.Lease)
 	}
-	if j.finished {
+	if j.Finished() {
 		return nil
 	}
 	if res.Error != "" {
@@ -1320,7 +1274,7 @@ func (j *Job) result(res LeaseResult) error {
 			store.Dedupes.Inc()
 		}
 		delete(inLease, p.Point)
-		if j.finished {
+		if j.Finished() {
 			return nil
 		}
 	}
@@ -1344,7 +1298,7 @@ func (j *Job) result(res LeaseResult) error {
 // finalizeLocked assembles the table once every point is complete.
 // Callers hold j.mu.
 func (j *Job) finalizeLocked() {
-	if j.finished {
+	if j.Finished() {
 		return
 	}
 	// A lease can outlive its points (a slow worker's stale result
@@ -1363,34 +1317,18 @@ func (j *Job) finalizeLocked() {
 		results[i] = pts
 	}
 	table, err := j.plan.Assemble(results)
-	j.finished = true
-	j.err = err
-	j.table = table
-	j.results = results
-	j.elapsed = time.Since(j.start)
-	if j.unpin != nil {
-		j.unpin()
-	}
-	j.closeSubsLocked()
 	j.coord.emit(FleetEvent{Type: "job-done", Job: j.ID, Points: len(j.points)})
-	close(j.done)
+	j.Finish(table, results, err)
 }
 
 // failLocked records the job's first error. Callers hold j.mu.
 func (j *Job) failLocked(err error) {
-	if j.finished {
+	if j.Finished() {
 		return
 	}
-	j.finished = true
-	j.err = err
-	j.elapsed = time.Since(j.start)
-	if j.unpin != nil {
-		j.unpin()
-	}
 	j.dropLeasesLocked()
-	j.closeSubsLocked()
 	j.coord.emit(FleetEvent{Type: "job-failed", Job: j.ID, Detail: err.Error()})
-	close(j.done)
+	j.Finish(nil, nil, err)
 }
 
 // dropLeasesLocked forgets every outstanding lease, job-, worker- and
@@ -1404,60 +1342,6 @@ func (j *Job) dropLeasesLocked() {
 	}
 }
 
-func (j *Job) closeSubsLocked() {
-	for id, ch := range j.subs {
-		delete(j.subs, id)
-		close(ch)
-	}
-}
-
-// Subscribe mirrors sweep.Job.Subscribe: every completed point so far
-// (journal-restored ones first) plus a live channel, closed when the job
-// finishes or cancel is called.
-func (j *Job) Subscribe() (past []sweep.PointEvent, ch <-chan sweep.PointEvent, cancel func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	past = append([]sweep.PointEvent(nil), j.events...)
-	c := make(chan sweep.PointEvent, len(j.points)+1)
-	if j.finished {
-		close(c)
-		return past, c, func() {}
-	}
-	id := j.nextSub
-	j.nextSub++
-	if j.subs == nil {
-		j.subs = make(map[int]chan sweep.PointEvent)
-	}
-	j.subs[id] = c
-	return past, c, func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if cc, ok := j.subs[id]; ok {
-			delete(j.subs, id)
-			close(cc)
-		}
-	}
-}
-
-// Done returns a channel closed when the job finishes (any outcome).
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-// Wait blocks until the job completes, then returns its result (table
-// and raw per-point tallies) or its failure.
-func (j *Job) Wait(ctx context.Context) (*sweep.Result, error) {
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-j.done:
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return nil, j.err
-	}
-	return &sweep.Result{Table: j.table, Points: j.results, Elapsed: j.elapsed}, nil
-}
-
 // Progress reports the job's execution state in the same shape as an
 // in-process engine job, so the HTTP API is identical in both modes.
 func (j *Job) Progress() sweep.Progress {
@@ -1466,12 +1350,10 @@ func (j *Job) Progress() sweep.Progress {
 	p := sweep.Progress{
 		ID:             j.ID,
 		Experiment:     j.Spec.Experiment,
-		State:          "running",
 		Points:         len(j.points),
 		DonePoints:     j.donePoints,
 		RestoredPoints: j.restored,
 		Packets:        j.totalPackets,
-		ElapsedSec:     time.Since(j.start).Seconds(),
 	}
 	for i := range j.points {
 		if j.points[i].done {
@@ -1481,15 +1363,7 @@ func (j *Job) Progress() sweep.Progress {
 	for _, l := range j.leases {
 		p.DonePackets += l.hbPackets
 	}
-	if j.finished {
-		p.ElapsedSec = j.elapsed.Seconds()
-		if j.err != nil {
-			p.State = "failed"
-			p.Error = j.err.Error()
-		} else {
-			p.State = "done"
-		}
-	}
+	j.Outcome(&p)
 	return p
 }
 
@@ -1582,7 +1456,7 @@ func (c *Coordinator) Handler() http.Handler {
 		res.Worker = ws.id
 		j := c.Job(res.Job)
 		if j == nil {
-			// Unknown job: removed, or from a journal-less previous life.
+			// Unknown job: removed, or from a store-less previous life.
 			// Nothing to merge into; the worker's work is simply dropped.
 			writeJSON(w, http.StatusOK, map[string]string{"status": "dropped"})
 			return
@@ -1664,13 +1538,4 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/dist/events", admin(c.fleetEventsHandler))
 
 	return mux
-}
-
-// BearerAuth wraps h so every request must carry
-// "Authorization: Bearer <token>". An empty token disables the check
-// (for localhost experimentation; production coordinators set one).
-// Kept as a thin alias over internal/api so existing callers keep
-// working; failures answer with the standard JSON error envelope.
-func BearerAuth(token string, h http.Handler) http.Handler {
-	return api.BearerAuth(token, h)
 }

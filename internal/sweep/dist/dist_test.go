@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -164,7 +165,7 @@ func TestCoordinatorMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		past, events, cancel := j.Subscribe()
+		past, events, cancel := j.Subscribe(-1)
 		defer cancel()
 		if len(past) != 0 {
 			t.Fatalf("%d workers: %d events before any worker joined", workers, len(past))
@@ -295,7 +296,7 @@ func TestStoreReplayAfterKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, events, cancelSub := j1.Subscribe()
+	_, events, cancelSub := j1.Subscribe(-1)
 	w1 := testWorker(t, srv1.URL, "")
 	// Let exactly two points land on disk, then "kill -9": stop the
 	// worker, drop the server, and never Close the coordinator.
@@ -356,10 +357,10 @@ func TestStoreReplayAfterKill(t *testing.T) {
 	}
 }
 
-// TestManifestReplaySkipsUnparsable pins that a zero-byte manifest,
-// foreign garbage in the store directory, or legacy journal leftovers
-// cannot crash-loop the coordinator: each file is skipped with its job
-// id burned, so fresh submissions never collide with it.
+// TestManifestReplaySkipsUnparsable pins that a zero-byte manifest or
+// foreign files in the store directory (here, old journal leftovers)
+// cannot crash-loop the coordinator: an unreadable manifest is skipped
+// with its job id burned, so fresh submissions never collide with it.
 func TestManifestReplaySkipsUnparsable(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "j7.json"), nil, 0o644); err != nil {
@@ -385,6 +386,54 @@ func TestManifestReplaySkipsUnparsable(t *testing.T) {
 	}
 	if j.ID != "j8" {
 		t.Fatalf("fresh job id %s, want j8 (numbering past the skipped files)", j.ID)
+	}
+}
+
+// TestManifestShapeReplays pins the on-disk manifest shape: manifests
+// written byte for byte as earlier coordinators wrote them (literal
+// JSON, pool-less and pooled) replay through New as their jobs, and a
+// fresh Submit of the same spec writes the identical bytes.
+func TestManifestShapeReplays(t *testing.T) {
+	manifests := map[string]string{
+		"j2": `{"v":1,"spec":{"experiment":"fig8","packets":4,"psdu_bytes":60,"seed":3,"axis":[-10,-20]},"points":6}`,
+		"j4": `{"v":1,"spec":{"experiment":"fig8","packets":4,"psdu_bytes":60,"seed":3,"axis":[-10,-20],"pool":true},"points":6,"pool_size":4,"pool_seed":9}`,
+	}
+	dir := t.TempDir()
+	for id, m := range manifests {
+		if err := os.WriteFile(filepath.Join(dir, id+".json"), []byte(m), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := New(Config{StoreDir: dir, StoreNoSync: true, PoolSize: 4, PoolSeed: 9, Log: testLogger(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for id, pooled := range map[string]bool{"j2": false, "j4": true} {
+		j := c.Job(id)
+		if j == nil {
+			t.Fatalf("manifest %s not replayed", id)
+		}
+		want := testSpec().Normalised()
+		want.Pool = pooled
+		if p := j.Progress(); p.Points != 6 || p.State != "running" || !reflect.DeepEqual(j.Spec, want) {
+			t.Fatalf("replayed %s: progress %+v spec %+v", id, p, j.Spec)
+		}
+	}
+	for _, pooled := range []bool{false, true} {
+		spec := testSpec()
+		spec.Pool = pooled
+		j, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, j.ID+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := manifests[map[bool]string{false: "j2", true: "j4"}[pooled]]; string(got) != want {
+			t.Errorf("fresh manifest %s:\n%s\nwant\n%s", j.ID, got, want)
+		}
 	}
 }
 

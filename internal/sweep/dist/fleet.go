@@ -7,10 +7,10 @@ package dist
 // cmd/cprecycle-bench.
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
+
+	"repro/internal/api"
 )
 
 // fleetRetain bounds the in-memory fleet event history. A reconnecting
@@ -101,55 +101,10 @@ func (c *Coordinator) closeFleetSubs() {
 // The stream runs until the client disconnects or the coordinator shuts
 // down.
 func (c *Coordinator) fleetEventsHandler(w http.ResponseWriter, r *http.Request) {
-	if _, ok := w.(http.Flusher); !ok {
-		http.Error(w, "streaming unsupported by this connection", http.StatusInternalServerError)
-		return
-	}
-	rc := http.NewResponseController(w)
-	after := -1
-	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		// A malformed id is ignored (full replay) rather than rejected:
-		// the header is a resume hint, not a contract.
-		if n, err := strconv.Atoi(v); err == nil {
-			after = n
-		}
-	}
-	past, ch, cancel := c.SubscribeFleet(after)
-	defer cancel()
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	send := func(ev FleetEvent) bool {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			c.log.Warn("marshalling fleet event", "err", err)
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
-			return false
-		}
-		// Flush errors mean the client is gone: unsubscribe now instead
-		// of spinning until the next event's write fails.
-		return rc.Flush() == nil
-	}
-	for _, ev := range past {
-		if !send(ev) {
-			return
-		}
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-ch:
-			if !ok {
-				return
-			}
-			if !send(ev) {
-				return
-			}
-		}
+	err := api.ServeSSE(w, r, c.SubscribeFleet, func(ev FleetEvent) api.Frame {
+		return api.Frame{ID: strconv.Itoa(ev.Seq), Event: ev.Type, Data: ev}
+	}, nil)
+	if err != nil {
+		c.log.Warn("streaming fleet events", "err", err)
 	}
 }

@@ -108,8 +108,7 @@
 // cross-job duplicate points are served from the store instead of the
 // fleet, late results from slow re-leased workers are accepted once and
 // the redundant re-run is cancelled in flight (cpr_store_* counters
-// track hits, misses, dedupes, late accepts and corrupt records). Legacy
-// *.jsonl journals in the directory are migrated into the store on open.
+// track hits, misses, dedupes, late accepts and corrupt records).
 // The worker registry is deliberately not persisted: workers re-register
 // on the first 401 from the new coordinator life.
 //
@@ -130,7 +129,13 @@
 // /v1/status endpoints.
 package dist
 
-import "repro/internal/sweep"
+import (
+	"context"
+	"net/http"
+
+	"repro/internal/api"
+	"repro/internal/sweep"
+)
 
 // Wire types of the worker tier. All endpoints live under /v1/dist/ on
 // the coordinator:
@@ -299,4 +304,18 @@ type FleetEvent struct {
 	Points int `json:"points,omitempty"`
 	// Detail is a human-oriented annotation (names, reasons).
 	Detail string `json:"detail,omitempty"`
+}
+
+// ListWorkers pages through the coordinator's whole worker registry
+// (GET /v1/dist/workers, newest first as served) with the join-secret
+// client c.
+func ListWorkers(ctx context.Context, c api.Client) ([]WorkerInfo, error) {
+	return api.ListAll[WorkerInfo](ctx, c, "/v1/dist/workers")
+}
+
+// WorkerAction asks the coordinator to "drain" or "revoke" worker id
+// with the join-secret client c. An unknown worker answers 404
+// (api.IsStatus(err, http.StatusNotFound)).
+func WorkerAction(ctx context.Context, c api.Client, id, action string) error {
+	return c.Call(ctx, http.MethodPost, "/v1/dist/workers/"+id+"/"+action, nil, nil)
 }

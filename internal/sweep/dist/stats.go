@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sweep"
 )
 
 // FleetStats is one aggregated snapshot of a coordinator's fleet state,
@@ -60,9 +61,11 @@ func (c *Coordinator) Stats() FleetStats {
 	}
 	now := time.Now()
 	for _, j := range c.Jobs() {
+		var p sweep.Progress
 		j.mu.Lock()
-		switch {
-		case !j.finished:
+		j.Outcome(&p)
+		switch p.State {
+		case "running":
 			s.JobsRunning++
 			s.LeasesInflight += len(j.leases)
 			s.QueueDepth += len(j.pending)
@@ -74,7 +77,7 @@ func (c *Coordinator) Stats() FleetStats {
 					s.OldestProgressSec = age
 				}
 			}
-		case j.err != nil:
+		case "failed":
 			s.JobsFailed++
 		default:
 			s.JobsDone++

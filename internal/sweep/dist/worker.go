@@ -1,12 +1,9 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"math/rand"
@@ -18,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/sweep"
 )
 
@@ -133,7 +131,7 @@ var errRevoked = errors.New("dist: worker revoked by coordinator")
 // leases and executes them on a local sweep.Engine. Its waveform pool is
 // rebuilt whenever a lease names a different pool identity, so pooled
 // tallies are always drawn from the exact pool the coordinator
-// journalled. Every coordinator call retries transient transport
+// recorded. Every coordinator call retries transient transport
 // failures with capped, jittered exponential backoff; a 401 triggers
 // transparent re-registration (a restarted coordinator loses its
 // registry), and a 403 — revocation — terminates the worker.
@@ -428,7 +426,7 @@ func (w *Worker) register(ctx context.Context) error {
 			return err
 		}
 		var resp RegisterResponse
-		status, err := w.rawPost(ctx, "/v1/dist/register", "Bearer "+w.cfg.Token, RegisterRequest{Worker: w.cfg.ID}, &resp)
+		status, err := w.client(w.cfg.Token).Do(ctx, http.MethodPost, "/v1/dist/register", RegisterRequest{Worker: w.cfg.ID}, &resp)
 		if err == nil && status == http.StatusOK {
 			w.authMu.Lock()
 			w.workerID = resp.Worker
@@ -459,7 +457,7 @@ func (w *Worker) bearer(ctx context.Context) (string, error) {
 	tok, ok := w.token, w.registered
 	w.authMu.Unlock()
 	if ok {
-		return "Bearer " + tok, nil
+		return tok, nil
 	}
 	if err := w.register(ctx); err != nil {
 		return "", err
@@ -467,7 +465,7 @@ func (w *Worker) bearer(ctx context.Context) (string, error) {
 	w.authMu.Lock()
 	tok = w.token
 	w.authMu.Unlock()
-	return "Bearer " + tok, nil
+	return tok, nil
 }
 
 // forgetRegistration clears the worker identity after a 401 so the next
@@ -724,57 +722,31 @@ func (w *Worker) deregister() {
 
 // ---- HTTP plumbing ----
 
+// client is the /v1 client presenting token (empty: no credential).
+func (w *Worker) client(token string) api.Client {
+	return api.Client{Base: w.cfg.Coordinator, Token: token, HTTP: w.cfg.HTTPClient}
+}
+
 // authPost sends one data-plane call with the per-worker token,
 // transparently re-registering once on 401 (coordinator restart) and
 // mapping 403 to errRevoked.
 func (w *Worker) authPost(ctx context.Context, path string, body, out any) (int, error) {
-	auth, err := w.bearer(ctx)
+	tok, err := w.bearer(ctx)
 	if err != nil {
 		return 0, err
 	}
-	status, err := w.rawPost(ctx, path, auth, body, out)
+	status, err := w.client(tok).Do(ctx, http.MethodPost, path, body, out)
 	if err == nil && status == http.StatusUnauthorized {
 		w.log.Warn("token unknown (coordinator restart?), re-registering")
 		w.reregs.Add(1)
 		w.forgetRegistration()
-		if auth, err = w.bearer(ctx); err != nil {
+		if tok, err = w.bearer(ctx); err != nil {
 			return 0, err
 		}
-		status, err = w.rawPost(ctx, path, auth, body, out)
+		status, err = w.client(tok).Do(ctx, http.MethodPost, path, body, out)
 	}
 	if err == nil && status == http.StatusForbidden {
 		return status, errRevoked
 	}
 	return status, err
-}
-
-// rawPost sends one JSON request and decodes 2xx responses into out
-// (when non-nil).
-func (w *Worker) rawPost(ctx context.Context, path, auth string, body, out any) (int, error) {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+path, bytes.NewReader(payload))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if auth != "Bearer " { // bare prefix: no secret and no token to present
-		req.Header.Set("Authorization", auth)
-	}
-	resp, err := w.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode == http.StatusOK && out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, err
-		}
-	}
-	return resp.StatusCode, nil
 }

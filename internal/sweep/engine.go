@@ -201,8 +201,6 @@ func (e *Engine) submit(ctx context.Context, spec Spec, subset []int) (*Job, err
 		active: len(active),
 		ctx:    jctx,
 		cancel: cancel,
-		start:  time.Now(),
-		done:   make(chan struct{}),
 	}
 	j.points = make([]*pointState, len(plan.Points))
 	for _, i := range active {
@@ -230,13 +228,18 @@ func (e *Engine) submit(ctx context.Context, spec Spec, subset []int) (*Job, err
 	// computed it — is restored instead of executed. The pool identity is
 	// part of the key: points drawn from one waveform pool never alias
 	// points from another or from the pool-less path.
-	if st := e.cfg.Store; st != nil {
+	st := e.cfg.Store
+	var unpin func()
+	if st != nil {
 		j.store = st
 		j.keys = PlanKeys(plan, spec.Pool, e.cfg.PoolSize, e.cfg.PoolSeed)
 		// Pin the job's full key set for its lifetime: the MaxBytes GC
 		// must never collect a record this job may still restore from or
-		// has just written. Released in fail/finalize.
-		j.unpin = st.Pin(j.keys...)
+		// has just written. Released when the job settles.
+		unpin = st.Pin(j.keys...)
+	}
+	j.JobLog = NewJobLog(j.active, unpin)
+	if st != nil {
 		now := time.Now()
 		for _, idx := range active {
 			ps := j.points[idx]
@@ -260,10 +263,7 @@ func (e *Engine) submit(ctx context.Context, spec Spec, subset []int) (*Job, err
 			j.restoredPoints++
 			j.donePackets.Add(int64(t.N))
 			done := int(j.donePoints.Add(1))
-			j.events = append(j.events, PointEvent{
-				Seq: len(j.events), Point: idx, N: t.N, OK: t.OK,
-				DonePoints: done, Points: j.active,
-			})
+			j.Publish(PointEvent{Point: idx, N: t.N, OK: t.OK, DonePoints: done, Points: j.active})
 		}
 	}
 
@@ -374,9 +374,11 @@ type pointState struct {
 }
 
 // Job is one submitted sweep. All methods are safe for concurrent use.
+// Its point stream, Wait and Done come from the embedded JobLog.
 type Job struct {
 	ID   string
 	Spec Spec
+	*JobLog
 
 	plan   *experiments.SweepPlan
 	points []*pointState
@@ -386,24 +388,11 @@ type Job struct {
 	cancel context.CancelFunc
 	store  *store.Store
 	keys   []store.Key
-	unpin  func()
-	start  time.Time
 
 	totalPackets   int64
 	restoredPoints int
 	donePackets    atomic.Int64
 	donePoints     atomic.Int32
-
-	mu       sync.Mutex
-	err      error
-	table    *experiments.Table
-	results  [][]experiments.PSRPoint
-	elapsed  time.Duration
-	finished bool
-	done     chan struct{}
-	events   []PointEvent
-	subs     map[int]chan PointEvent
-	nextSub  int
 }
 
 // Result is a completed sweep: the rendered table plus the raw per-point,
@@ -449,65 +438,6 @@ type PointEvent struct {
 // coordinator's plan before trusting the point indexes.
 func (j *Job) Plan() *experiments.SweepPlan { return j.plan }
 
-// Subscribe returns every point completed so far (in completion order)
-// plus a channel delivering each subsequent completion. The channel is
-// buffered for the job's full point count — sends never block the
-// engine's workers — and is closed when the job finishes (any outcome) or
-// when cancel is called. Callers should pair the stream with Done /
-// Progress to learn the final state.
-func (j *Job) Subscribe() (past []PointEvent, ch <-chan PointEvent, cancel func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	past = append([]PointEvent(nil), j.events...)
-	c := make(chan PointEvent, j.active+1)
-	if j.finished {
-		close(c)
-		return past, c, func() {}
-	}
-	id := j.nextSub
-	j.nextSub++
-	if j.subs == nil {
-		j.subs = make(map[int]chan PointEvent)
-	}
-	j.subs[id] = c
-	return past, c, func() {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if cc, ok := j.subs[id]; ok {
-			delete(j.subs, id)
-			close(cc)
-		}
-	}
-}
-
-// publishPoint records one completed point and fans it out to
-// subscribers. Sends happen under j.mu, as do subscriber channel closes,
-// so a send can never race a close; the per-subscriber buffer covers
-// every possible event, so sends never block.
-func (j *Job) publishPoint(point, n int, ok []int, donePoints int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.finished {
-		return
-	}
-	ev := PointEvent{
-		Seq: len(j.events), Point: point, N: n, OK: append([]int(nil), ok...),
-		DonePoints: donePoints, Points: j.active,
-	}
-	j.events = append(j.events, ev)
-	for _, c := range j.subs {
-		c <- ev
-	}
-}
-
-// closeSubs closes every subscriber channel. Callers hold j.mu.
-func (j *Job) closeSubs() {
-	for id, c := range j.subs {
-		delete(j.subs, id)
-		close(c)
-	}
-}
-
 // completeShard merges one shard's tallies (or failure) into its point.
 func (j *Job) completeShard(point int, counts []int, n int, err error) {
 	j.donePackets.Add(int64(n))
@@ -543,34 +473,17 @@ func (j *Job) completeShard(point int, counts []int, n int, err error) {
 	}
 	done := int(j.donePoints.Add(1))
 	pointsDone.Inc()
-	j.publishPoint(point, nTotal, okCopy, done)
+	j.Publish(PointEvent{
+		Point: point, N: nTotal, OK: append([]int(nil), okCopy...),
+		DonePoints: done, Points: j.active,
+	})
 	if done == j.active {
 		j.finalize()
 	}
 }
 
 // fail records the job's first error and cancels the rest of its work.
-func (j *Job) fail(err error) {
-	j.mu.Lock()
-	already := j.finished
-	if !already {
-		j.finished = true
-		j.err = err
-		j.elapsed = time.Since(j.start)
-		j.closeSubs()
-		if j.unpin != nil {
-			j.unpin()
-		}
-	}
-	j.mu.Unlock()
-	if already {
-		return
-	}
-	jobsFailed.Inc()
-	jobsRunning.Add(-1)
-	j.cancel()
-	close(j.done)
-}
+func (j *Job) fail(err error) { j.settle(nil, nil, err) }
 
 // finalize assembles the result once every active point is complete.
 // Subset jobs keep their per-point tallies but skip table assembly — the
@@ -593,21 +506,16 @@ func (j *Job) finalize() {
 	if !j.subset {
 		table, err = j.plan.Assemble(results)
 	}
-	j.mu.Lock()
-	if j.finished {
-		j.mu.Unlock()
+	j.settle(table, results, err)
+}
+
+// settle finishes the job once: the first call updates the engine
+// metrics and cancels the job's remaining shards, later calls do
+// nothing.
+func (j *Job) settle(table *experiments.Table, results [][]experiments.PSRPoint, err error) {
+	if !j.Finish(table, results, err) {
 		return
 	}
-	j.finished = true
-	j.err = err
-	j.table = table
-	j.results = results
-	j.elapsed = time.Since(j.start)
-	j.closeSubs()
-	if j.unpin != nil {
-		j.unpin()
-	}
-	j.mu.Unlock()
 	if err != nil {
 		jobsFailed.Inc()
 	} else {
@@ -615,54 +523,23 @@ func (j *Job) finalize() {
 	}
 	jobsRunning.Add(-1)
 	j.cancel()
-	close(j.done)
 }
 
 // Cancel aborts the job; in-flight shards stop at the next packet
 // boundary. Wait then returns context.Canceled.
 func (j *Job) Cancel() { j.fail(context.Canceled) }
 
-// Done returns a channel closed when the job finishes (any outcome).
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-// Wait blocks until the job completes, ctx expires, or the job fails.
-func (j *Job) Wait(ctx context.Context) (*Result, error) {
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-j.done:
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return nil, j.err
-	}
-	return &Result{Table: j.table, Points: j.results, Elapsed: j.elapsed}, nil
-}
-
 // Progress returns a snapshot of the job's execution state.
 func (j *Job) Progress() Progress {
 	p := Progress{
 		ID:             j.ID,
 		Experiment:     j.Spec.Experiment,
-		State:          "running",
 		Points:         j.active,
 		DonePoints:     int(j.donePoints.Load()),
 		RestoredPoints: j.restoredPoints,
 		Packets:        j.totalPackets,
 		DonePackets:    j.donePackets.Load(),
-		ElapsedSec:     time.Since(j.start).Seconds(),
 	}
-	j.mu.Lock()
-	if j.finished {
-		p.ElapsedSec = j.elapsed.Seconds()
-		if j.err != nil {
-			p.State = "failed"
-			p.Error = j.err.Error()
-		} else {
-			p.State = "done"
-		}
-	}
-	j.mu.Unlock()
+	j.Outcome(&p)
 	return p
 }

@@ -4,9 +4,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Engine-level sweep metrics. Job transitions are guarded by the same
-// j.finished checks that make fail/finalize idempotent, so the running
-// gauge is decremented exactly once per job however it ends.
+// Engine-level sweep metrics. Job transitions are guarded by
+// JobLog.Finish, which settles a job exactly once, so the running gauge
+// is decremented exactly once per job however it ends.
 var (
 	jobsSubmitted = obs.NewCounter("cpr_sweep_jobs_total", "Sweep jobs by terminal state (submitted counts admissions).",
 		obs.Label{Name: "state", Value: "submitted"})

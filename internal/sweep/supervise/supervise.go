@@ -103,11 +103,13 @@ import (
 	mrand "math/rand"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/sweep/dist"
 )
 
@@ -241,8 +243,8 @@ type procState struct {
 type Supervisor struct {
 	cfg    Config
 	log    *slog.Logger
-	client *coordClient
-	prefix string // life-unique spawn-name prefix
+	client api.Client // join-secret admin calls to the coordinator
+	prefix string     // life-unique spawn-name prefix
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -286,7 +288,7 @@ func Start(cfg Config) (*Supervisor, error) {
 	s := &Supervisor{
 		cfg:            cfg,
 		log:            cfg.Log.With("component", "supervisor"),
-		client:         &coordClient{base: cfg.Coordinator, token: cfg.Token, http: cfg.HTTPClient},
+		client:         api.Client{Base: cfg.Coordinator, Token: cfg.Token, HTTP: cfg.HTTPClient},
 		prefix:         "sup-" + hex.EncodeToString(raw),
 		ctx:            ctx,
 		cancel:         cancel,
@@ -326,11 +328,11 @@ func (s *Supervisor) Shutdown(ctx context.Context) {
 	if len(owned) == 0 {
 		return
 	}
-	if workers, err := s.client.workers(ctx); err == nil {
+	if workers, err := dist.ListWorkers(ctx, s.client); err == nil {
 		for _, wi := range workers {
 			if ps, ok := owned[wi.Name]; ok && wi.State == workerActive {
 				ps.draining = true
-				if err := s.client.workerAction(ctx, wi.ID, "drain"); err != nil {
+				if err := s.workerAction(ctx, wi.ID, "drain"); err != nil {
 					s.log.Warn("shutdown drain failed", "worker", wi.ID, "err", err)
 				}
 			}
@@ -346,6 +348,25 @@ func (s *Supervisor) Shutdown(ctx context.Context) {
 			ps.proc.Kill()
 		}
 	}
+}
+
+// workerAction POSTs a drain or revoke for one worker. 404 is not an
+// error to the caller: the worker left between observe and actuate,
+// which is the control loop's normal weather.
+func (s *Supervisor) workerAction(ctx context.Context, id, action string) error {
+	err := dist.WorkerAction(ctx, s.client, id, action)
+	if api.IsStatus(err, http.StatusNotFound) {
+		return nil
+	}
+	return err
+}
+
+// annotate injects a supervisor-* event into the fleet stream.
+// Best-effort: an annotation that cannot land must never stall the
+// control loop, so errors are returned for logging only.
+func (s *Supervisor) annotate(ctx context.Context, typ, worker, detail string) error {
+	return s.client.Call(ctx, http.MethodPost, "/v1/dist/annotate",
+		dist.AnnotateRequest{Type: typ, Worker: worker, Detail: detail}, nil)
 }
 
 // Kick requests an immediate converge pass (non-blocking; passes
@@ -383,10 +404,11 @@ func (s *Supervisor) converge() {
 	s.converges.Add(1)
 	ctx, cancel := context.WithTimeout(s.ctx, 15*time.Second)
 	defer cancel()
-	st, err := s.client.stats(ctx)
+	var st dist.FleetStats
+	err := s.client.Call(ctx, http.MethodGet, "/v1/dist/stats", nil, &st)
 	if err == nil {
 		var workers []dist.WorkerInfo
-		if workers, err = s.client.workers(ctx); err == nil {
+		if workers, err = dist.ListWorkers(ctx, s.client); err == nil {
 			for _, act := range s.decide(st, workers, time.Now()) {
 				act(ctx)
 			}
@@ -427,7 +449,7 @@ func (s *Supervisor) decide(st dist.FleetStats, workers []dist.WorkerInfo, now t
 				id := wi.ID
 				s.log.Warn("revoking registry entry of dead spawned worker", "worker", id, "name", wi.Name)
 				acts = append(acts, func(ctx context.Context) {
-					if err := s.client.workerAction(ctx, id, "revoke"); err != nil {
+					if err := s.workerAction(ctx, id, "revoke"); err != nil {
 						s.log.Warn("dead-worker revoke failed", "worker", id, "err", err)
 					}
 				})
@@ -543,7 +565,7 @@ func (s *Supervisor) scaleUpLocked(now time.Time) []action {
 	go s.watchProc(ps)
 	s.log.Info("spawned worker", "name", name, "target", s.lastTarget, "live", s.lastLive)
 	return []action{func(ctx context.Context) {
-		if err := s.client.annotate(ctx, "supervisor-spawn", "", name); err != nil {
+		if err := s.annotate(ctx, "supervisor-spawn", "", name); err != nil {
 			s.log.Debug("annotate failed", "err", err)
 		}
 	}}
@@ -579,7 +601,7 @@ func (s *Supervisor) scaleDownLocked(workers []dist.WorkerInfo, excess int) []ac
 			"leases", wi.Leases, "target", s.lastTarget, "live", s.lastLive)
 		id := wi.ID
 		acts = append(acts, func(ctx context.Context) {
-			if err := s.client.workerAction(ctx, id, "drain"); err != nil {
+			if err := s.workerAction(ctx, id, "drain"); err != nil {
 				s.log.Warn("drain failed", "worker", id, "err", err)
 			}
 		})
@@ -616,10 +638,10 @@ func (s *Supervisor) detectStuckLocked(workers []dist.WorkerInfo, st dist.FleetS
 				"reason", reason, "last_progress_sec", wi.LastProgressSec, "idle_sec", wi.IdleSec)
 			id, detail := wi.ID, fmt.Sprintf("drained %s: %s", wi.ID, reason)
 			acts = append(acts, func(ctx context.Context) {
-				if err := s.client.workerAction(ctx, id, "drain"); err != nil {
+				if err := s.workerAction(ctx, id, "drain"); err != nil {
 					s.log.Warn("stuck drain failed", "worker", id, "err", err)
 				}
-				if err := s.client.annotate(ctx, "supervisor-stuck", id, detail); err != nil {
+				if err := s.annotate(ctx, "supervisor-stuck", id, detail); err != nil {
 					s.log.Debug("annotate failed", "err", err)
 				}
 			})
@@ -641,7 +663,7 @@ func (s *Supervisor) detectStuckLocked(workers []dist.WorkerInfo, st dist.FleetS
 					"worker", wi.ID, "name", wi.Name, "idle_sec", wi.IdleSec)
 				id, detail := wi.ID, fmt.Sprintf("draining worker %s silent beyond long-poll bound", wi.ID)
 				acts = append(acts, func(ctx context.Context) {
-					if err := s.client.annotate(ctx, "supervisor-stuck", id, detail); err != nil {
+					if err := s.annotate(ctx, "supervisor-stuck", id, detail); err != nil {
 						s.log.Debug("annotate failed", "err", err)
 					}
 				})
@@ -658,10 +680,10 @@ func (s *Supervisor) detectStuckLocked(workers []dist.WorkerInfo, st dist.FleetS
 			s.log.Warn("stuck worker ignored its drain, revoking", "worker", wi.ID, "name", wi.Name)
 			id := wi.ID
 			acts = append(acts, func(ctx context.Context) {
-				if err := s.client.workerAction(ctx, id, "revoke"); err != nil {
+				if err := s.workerAction(ctx, id, "revoke"); err != nil {
 					s.log.Warn("stuck revoke failed", "worker", id, "err", err)
 				}
-				if err := s.client.annotate(ctx, "supervisor-stuck", id, "revoked "+id+": drain not acknowledged"); err != nil {
+				if err := s.annotate(ctx, "supervisor-stuck", id, "revoked "+id+": drain not acknowledged"); err != nil {
 					s.log.Debug("annotate failed", "err", err)
 				}
 			})
@@ -704,7 +726,7 @@ func (s *Supervisor) recordCrashLocked(now time.Time, acts *[]action) {
 			"crashes", n, "window", s.cfg.CrashWindow, "quarantine", s.cfg.Quarantine)
 		detail := fmt.Sprintf("%d crashes in %s; spawning quarantined for %s", n, s.cfg.CrashWindow, s.cfg.Quarantine)
 		*acts = append(*acts, func(ctx context.Context) {
-			if err := s.client.annotate(ctx, "supervisor-quarantine", "", detail); err != nil {
+			if err := s.annotate(ctx, "supervisor-quarantine", "", detail); err != nil {
 				s.log.Debug("annotate failed", "err", err)
 			}
 		})
@@ -773,32 +795,28 @@ func (s *Supervisor) watchEvents() {
 // streamEvents consumes one connection's worth of fleet events,
 // tracking the last seen seq for resume.
 func (s *Supervisor) streamEvents(lastSeq *int) error {
-	body, err := s.client.events(s.ctx, *lastSeq)
+	last := ""
+	if *lastSeq >= 0 {
+		last = strconv.Itoa(*lastSeq)
+	}
+	body, err := s.client.Open(s.ctx, "/v1/dist/events", last)
 	if err != nil {
 		return err
 	}
 	defer body.Close()
-	var id, typ string
-	return scanSSE(body, func(field, value string) {
-		switch field {
-		case "id":
-			id = value
-		case "event":
-			typ = value
-		case "":
-			if typ == "" {
-				return
-			}
-			if n, err := fmt.Sscanf(id, "%d", lastSeq); n != 1 || err != nil {
-				// keep the previous resume point
-			}
-			s.events.Add(1)
-			switch typ {
-			case "worker-join", "worker-leave", "worker-drain", "worker-revoke",
-				"lease-expire", "job-submit", "job-done", "job-failed":
-				s.Kick()
-			}
-			id, typ = "", ""
+	return api.ReadSSE(body, func(ev api.Event) bool {
+		if ev.Event == "" {
+			return true
 		}
+		if n, err := strconv.Atoi(ev.ID); err == nil {
+			*lastSeq = n
+		}
+		s.events.Add(1)
+		switch ev.Event {
+		case "worker-join", "worker-leave", "worker-drain", "worker-revoke",
+			"lease-expire", "job-submit", "job-done", "job-failed":
+			s.Kick()
+		}
+		return true
 	})
 }

@@ -112,3 +112,29 @@ func (s Spec) Normalised() Spec {
 	}
 	return s
 }
+
+// Manifest is the small JSON file a durable coordinator writes per job
+// (internal/sweep/dist): enough to re-plan the job after a restart, so
+// its stored points can be restored from the store index. For pooled
+// sweeps it also records the waveform pool's identity: a point computed
+// from one pool must never be merged with points from another (different
+// size or seed means different interferer waveforms AND a different
+// per-tile draw range). On disk:
+//
+//	{"v":1,"spec":{…normalised spec…},"points":N,"pool_size":S,"pool_seed":P}
+type Manifest struct {
+	V        int   `json:"v"`
+	Spec     Spec  `json:"spec"`
+	Points   int   `json:"points"`
+	PoolSize int   `json:"pool_size,omitempty"`
+	PoolSeed int64 `json:"pool_seed,omitempty"`
+}
+
+// PointTally is one completed point: its plan index, packet count and
+// per-arm success tallies — the wire form of a finished point in the
+// distributed tier (dist.LeaseResult).
+type PointTally struct {
+	Point int   `json:"point"`
+	N     int   `json:"n"`
+	OK    []int `json:"ok"`
+}
