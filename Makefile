@@ -29,10 +29,12 @@ test-purego:
 # caches they exercise), the shared job event log and SSE writer that
 # serve concurrent subscribers in both tiers (internal/api and the
 # cprecycle-bench HTTP surface), the intra-packet parallel symbol decode
-# in rx (hard and soft), and the dsp kernel dispatch (shared
-# SlideTab/FFT-plan caches + the ForceScalar toggle).
+# in rx (hard and soft), the dsp kernel dispatch (shared
+# SlideTab/FFT-plan caches + the ForceScalar toggle), and the Viterbi
+# decoder's pooled survivor and int8 scratch that the parallel decoders
+# share.
 test-race-sweep:
-	$(GO) test -race ./internal/sweep/... ./internal/api/ ./cmd/cprecycle-bench/ ./internal/wifi/ ./internal/experiments/ ./internal/rx/ ./internal/dsp/
+	$(GO) test -race ./internal/sweep/... ./internal/api/ ./cmd/cprecycle-bench/ ./internal/wifi/ ./internal/experiments/ ./internal/rx/ ./internal/dsp/ ./internal/coding/
 
 # Short end-to-end sweep through the engine (sharded workers + waveform
 # pool) plus a 2-worker parallel-decode equivalence check, as run in CI.
@@ -53,7 +55,8 @@ bench:
 
 # Hot-path micro-benchmarks with allocation reporting: segment
 # demodulation (old FFT-per-window vs sliding-DFT batch), multi-segment
-# observation, Viterbi, sliding kernels.
+# observation, Viterbi (float decode, and the hard decode at the
+# aci-fresh packet size with its ForceScalar twin), sliding kernels.
 bench-hotpath:
 	$(GO) test -bench 'BenchmarkSegment' -benchtime 2000x -run '^$$' ./internal/ofdm/
 	$(GO) test -bench 'BenchmarkObserve' -benchtime 2000x -run '^$$' ./internal/rx/
@@ -67,7 +70,10 @@ bench-hotpath:
 # benchmark (min ns/op), so one noisy-neighbour blip cannot poison the
 # trajectory or trip the regression gate; the store suite runs -count=6
 # because its Put benchmarks are filesystem-bound and need more samples
-# for a stable minimum. The dsp suite includes the
+# for a stable minimum. The coding suite times the float decode
+# (BenchmarkViterbiDecode, gated against BENCH_PR8) and the integer hard
+# decode with its ForceScalar twin (BenchmarkViterbiDecodeHard*). The
+# dsp suite includes the
 # SIMD kernel benchmarks (BenchmarkPlanar*) and their ForceScalar twins;
 # the obs suite pins the metrics layer at 0 allocs per hot-path update;
 # the store suite covers the result store's encode/decode/lookup path.

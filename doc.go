@@ -31,10 +31,13 @@
 // loops kept as a complete scalar fallback (purego build tag,
 // dsp.ForceScalar hook) and a bit-exactness contract (no FMA, scalar
 // operation order) pinned by equivalence tests and fuzzing; see the
-// internal/dsp package comment. Viterbi survivor memory is bounded by a
-// sliding traceback window for long PSDUs (internal/coding,
-// bit-identical by survivor-merge finalisation, pooled buffers below
-// the window).
+// internal/dsp package comment. The Viterbi decoder (internal/coding)
+// stores one packed uint64 of survivor bits per trellis step in a pooled
+// flat array, ≈262 KB for the longest PSDU, so no traceback window is
+// needed. Hard-decision arms decode on integer path metrics, bit-identical
+// to the float decoder because hard LLRs are ±1 with 0 erasures, with an
+// AVX2 add-compare-select kernel under the same dispatch and ForceScalar
+// switch as the dsp kernels.
 //
 // Within one packet, rx.DecodeDataParallel fans the per-symbol decisions
 // across a bounded worker pool — each worker on its own Frame.ScratchFork

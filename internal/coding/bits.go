@@ -3,6 +3,16 @@
 // patterns, a hard/soft Viterbi decoder, the two-permutation block
 // interleaver, and the CRC-32 frame check sequence.
 //
+// The Viterbi decoder has two forward passes over one survivor format:
+// one uint64 per trellis step, bit ns set when the odd predecessor
+// 2·(ns&31)+1 of state ns won (viterbi.go). Soft LLRs run on float64
+// path metrics; hard bits run on integer metrics, which reproduce the
+// float recursion exactly because hard LLRs are ±1 with 0 erasures
+// (viterbi_hard.go gives the argument), with an AVX2 kernel behind
+// internal/dsp's CPU detection and ForceScalar switch. At 8 bytes per
+// step the survivors of the longest PSDU take ≈262 KB, so every stream
+// is decoded with one flat survivor array and no traceback window.
+//
 // Bits are represented as bytes holding 0 or 1. Octets serialise LSB-first,
 // as the standard requires.
 package coding

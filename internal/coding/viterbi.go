@@ -6,177 +6,105 @@ import (
 	"sync"
 )
 
-// decisionsPool recycles the flat survivor-decision arrays between
-// decodes: at ~64 bytes per trellis step they were the last recurring
-// per-packet allocation (~83 KB per 1200-bit decode). The pool stores
-// *[]uint8 boxes that are themselves recycled — callers hand the same
-// pointer back — so steady state allocates neither the buffer nor an
-// interface box.
+// Survivor format. Destination state ns of the K=7 trellis has exactly
+// two predecessors, the even state 2·(ns&31) and the odd state
+// 2·(ns&31)+1, both with input bit ns>>5 (from next = (in<<6|s)>>1). One
+// trellis step's add-compare-select is therefore 64 binary choices, and
+// its survivors are one uint64: bit ns is set when the odd predecessor
+// won. Traceback steps back with state = (state&31)<<1 | bit. The float
+// decoder (soft LLRs) and the integer decoder (hard bits) share this
+// format and the traceback.
+//
+// At 8 bytes per step, the flat survivor array for the longest legal
+// PSDU (4095 octets, ≈32.8k steps) takes ≈262 KB — half the float64 LLR
+// stream the soft decoder already holds — so there is no sliding
+// traceback window: it would bound a buffer that is no longer the large
+// one.
+
+// decisionsPool recycles the flat survivor arrays between decodes. The
+// pool stores *[]uint64 boxes that are themselves recycled — callers hand
+// the same pointer back — so steady state allocates neither the buffer
+// nor an interface box.
 var decisionsPool sync.Pool
 
-// getDecisions returns a boxed decision buffer with capacity for at least
-// n trellis steps, sliced to length n*numStates.
-func getDecisions(n int) *[]uint8 {
+// getDecisions returns a boxed survivor array with capacity for at least
+// n trellis steps, sliced to length n. Every word is overwritten by the
+// forward pass before the traceback reads it.
+func getDecisions(n int) *[]uint64 {
 	if v := decisionsPool.Get(); v != nil {
-		bp := v.(*[]uint8)
-		if cap(*bp) >= n*numStates {
-			*bp = (*bp)[:n*numStates]
+		bp := v.(*[]uint64)
+		if cap(*bp) >= n {
+			*bp = (*bp)[:n]
 			return bp
 		}
 	}
-	buf := make([]uint8, n*numStates)
+	buf := make([]uint64, n)
 	return &buf
 }
 
 // putDecisions recycles a box obtained from getDecisions. The caller must
 // not retain the box or its buffer.
-func putDecisions(bp *[]uint8) {
+func putDecisions(bp *[]uint64) {
 	decisionsPool.Put(bp)
 }
 
-// Viterbi is a maximum-likelihood decoder for the 802.11 rate-1/2 K=7
-// convolutional code. It consumes per-bit log-likelihood ratios (positive =
-// bit 0 more likely; 0 = erasure, as produced by Depuncture), so a single
-// implementation serves both hard decisions (±1 LLRs) and soft decisions.
-//
-// The decoder assumes the encoder started in the all-zero state and, when
-// Terminated is set, that six zero tail bits returned it there.
-type Viterbi struct {
-	// Terminated selects traceback from state 0 (true, the 802.11 case
-	// with tail bits) or from the best final state (false).
-	Terminated bool
-
-	// branch output bits for transition (state, input): outA|outB<<1
-	outs [numStates][2]byte
-	next [numStates][2]int
-	// outsIn[in][s] is outs[s][in] flattened per input bit, the layout the
-	// destination-state ACS loop walks sequentially.
-	outsIn [2][numStates]byte
-}
-
-// NewViterbi returns a decoder with precomputed trellis transitions.
-func NewViterbi() *Viterbi {
-	v := &Viterbi{Terminated: true}
+// outsIn[in][s] is the branch output pair outA|outB<<1 of the transition
+// from state s on input bit in, laid out per input bit as the
+// destination-state ACS loops walk it. Computed once; read-only after.
+var outsIn = func() (t [2][numStates]byte) {
 	for s := 0; s < numStates; s++ {
 		for in := 0; in < 2; in++ {
-			reg := (uint32(in) << 6) | uint32(s)
-			a := parity(reg & polyA)
-			b := parity(reg & polyB)
-			v.outs[s][in] = a | b<<1
-			v.next[s][in] = int(reg >> 1)
-			v.outsIn[in][s] = a | b<<1
+			reg := uint32(in)<<6 | uint32(s)
+			t[in][s] = parity(reg&polyA) | parity(reg&polyB)<<1
 		}
 	}
-	return v
+	return t
+}()
+
+// Viterbi is a maximum-likelihood decoder for the 802.11 rate-1/2 K=7
+// convolutional code. Decode and DecodeAnchored consume per-bit
+// log-likelihood ratios (positive = bit 0 more likely; 0 = erasure, as
+// produced by Depuncture) on float64 path metrics, so one implementation
+// serves soft decisions and any hard ones given as ±1 LLRs.
+// DecodeHardPuncturedAnchored decodes hard bits directly on integer path
+// metrics with bit-identical output (see its comment for why that is
+// exact).
+//
+// The decoder assumes the encoder started in the all-zero state and, when
+// Terminated is set, that six zero tail bits returned it there. Decoding
+// never mutates the receiver, so one *Viterbi may be shared by
+// concurrent decodes.
+type Viterbi struct {
+	// Terminated selects traceback from state 0 (true, the 802.11 case
+	// with tail bits) or from the best final state (false). Read by
+	// Decode and DecodeHard only.
+	Terminated bool
+}
+
+// NewViterbi returns a decoder for terminated streams.
+func NewViterbi() *Viterbi {
+	return &Viterbi{Terminated: true}
 }
 
 // Decode recovers the information bits (including any tail bits the encoder
 // appended) from mother-code LLRs. len(llrs) must be even; nInfo =
 // len(llrs)/2 bits are returned.
-//
-// The add-compare-select loop iterates over destination states: state ns
-// has exactly the two predecessors s = 2·(ns mod 32) and s+1 with input
-// bit ns>>5 (from next = (in<<6|s)>>1), so each trellis column is a flat
-// pass of two adds and one compare per state with no infinity screening,
-// and the winning predecessor is recorded in a single flat decision array
-// (the input bit is implied by the state). Branch costs and tie-breaking
-// (lowest predecessor wins) are arithmetically identical to the reference
-// per-source-state formulation, so decoded output is bit-for-bit
-// unchanged.
 func (v *Viterbi) Decode(llrs []float64) ([]byte, error) {
 	if len(llrs)%2 != 0 {
 		return nil, fmt.Errorf("coding: Viterbi needs an even LLR count, got %d", len(llrs))
 	}
 	n := len(llrs) / 2
-	if n == 0 {
-		return nil, nil
-	}
-	if n > streamEngage {
-		return v.decodeWindowed(llrs, n, !v.Terminated, streamWindow)
-	}
-
-	dp, metric := v.forwardPass(llrs, n)
-	decisions := *dp
-	defer putDecisions(dp)
-
-	// Traceback; the input bit that led into each state is its top bit.
-	state := 0
-	if !v.Terminated {
-		state = bestState(metric)
-	}
-	bits := make([]byte, n)
-	traceback(decisions, bits, n, state)
-	return bits, nil
+	return decodeFloat(llrs, v.anchorAll(n)), nil
 }
 
-// forwardPass runs the add-compare-select recursion over n trellis steps,
-// returning the boxed flat decision array (winning predecessor of each
-// state at each step; return the box to putDecisions when done) and the
-// final path metrics.
-func (v *Viterbi) forwardPass(llrs []float64, n int) (*[]uint8, *[numStates]float64) {
-	const inf = math.MaxFloat64 / 4
-	var metricA, metricB [numStates]float64
-	metric, nextMetric := &metricA, &metricB
-	for s := 1; s < numStates; s++ {
-		metric[s] = inf
+// anchorAll maps Terminated onto an anchor for an n-step stream: anchored
+// at the end (zero-state traceback throughout) or nowhere (best final
+// state throughout).
+func (v *Viterbi) anchorAll(n int) int {
+	if v.Terminated {
+		return n
 	}
-	// decisions[t*numStates+ns] = winning predecessor state of ns at step t.
-	// Recycled across decodes; every slot [0, n*numStates) is overwritten
-	// below before the traceback reads it.
-	dp := getDecisions(n)
-	decisions := *dp
-
-	// Per-step branch costs indexed by the branch output pair outA|outB<<1:
-	// cost[o] = (la if o&1) + (lb if o&2). For o = 3 the two LLRs are
-	// summed before the path metric, reassociating the reference
-	// implementation's conditional adds — exact for hard (±1) LLRs and
-	// within an ulp for soft ones.
-	var cost [4]float64
-	for t := 0; t < n; t++ {
-		la, lb := llrs[2*t], llrs[2*t+1]
-		cost[1] = la
-		cost[2] = lb
-		cost[3] = la + lb
-		dec := decisions[t*numStates : (t+1)*numStates : (t+1)*numStates]
-		v.acsColumn(metric, nextMetric, dec, &cost)
-		metric, nextMetric = nextMetric, metric
-	}
-	return dp, metric
-}
-
-// acsColumn advances one trellis column: destination states split by their
-// implied input bit (the top bit); each half walks the source metrics
-// sequentially in pairs. Shared by the flat and windowed decoders so both
-// produce identical metrics and decisions.
-func (v *Viterbi) acsColumn(metric, nextMetric *[numStates]float64, dec []uint8, cost *[4]float64) {
-	for in := 0; in < 2; in++ {
-		outs := &v.outsIn[in]
-		base := in << 5
-		half := dec[base : base+numStates/2 : base+numStates/2]
-		nm := nextMetric[base : base+numStates/2]
-		for k := 0; k < numStates/2; k++ {
-			s0 := 2 * k
-			s1 := s0 + 1
-			c0 := metric[s0] + cost[outs[s0]&3]
-			c1 := metric[s1] + cost[outs[s1]&3]
-			if c0 <= c1 {
-				nm[k] = c0
-				half[k] = uint8(s0)
-			} else {
-				nm[k] = c1
-				half[k] = uint8(s1)
-			}
-		}
-	}
-}
-
-// traceback walks the survivor path that ends in state at step upto,
-// filling bits[0:upto].
-func traceback(decisions []uint8, bits []byte, upto, state int) {
-	for t := upto - 1; t >= 0; t-- {
-		bits[t] = byte(state >> 5)
-		state = int(decisions[t*numStates+state])
-	}
+	return 0
 }
 
 // DecodeAnchored is Decode for streams whose encoder register is known to
@@ -187,42 +115,112 @@ func traceback(decisions []uint8, bits []byte, upto, state int) {
 // channel errors on the trailing pad can never corrupt payload bits (with
 // best-final-state traceback they can when the pad is shorter than the
 // survivor-merge depth). The trailing bits are traced from the best final
-// state as in unterminated decoding.
+// state as in unterminated decoding. anchorBit == len(llrs)/2 is
+// terminated decoding whatever Terminated says.
 func (v *Viterbi) DecodeAnchored(llrs []float64, anchorBit int) ([]byte, error) {
 	n := len(llrs) / 2
 	if anchorBit < 0 || anchorBit > n {
 		return nil, fmt.Errorf("coding: anchor %d outside [0,%d]", anchorBit, n)
 	}
-	if anchorBit == n {
-		sav := v.Terminated
-		v.Terminated = true
-		bits, err := v.Decode(llrs)
-		v.Terminated = sav
-		return bits, err
-	}
 	if len(llrs)%2 != 0 {
 		return nil, fmt.Errorf("coding: Viterbi needs an even LLR count, got %d", len(llrs))
 	}
+	return decodeFloat(llrs, anchorBit), nil
+}
+
+// decodeFloat runs the float64 forward pass over len(llrs)/2 steps and
+// traces back with the zero-state anchor at anchor (see traceAnchored).
+func decodeFloat(llrs []float64, anchor int) []byte {
+	n := len(llrs) / 2
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
-	if n > streamEngage {
-		return v.decodeWindowed(llrs, anchorBit, true, streamWindow)
-	}
-	dp, finalMetric := v.forwardPass(llrs, n)
-	decisions := *dp
+	dp := getDecisions(n)
 	defer putDecisions(dp)
-	bits := make([]byte, n)
-	// Trailing (pad) region: unterminated traceback from the best final
-	// state, but only the bits after the anchor are kept from it.
-	state := bestState(finalMetric)
-	for t := n - 1; t >= anchorBit; t-- {
-		bits[t] = byte(state >> 5)
-		state = int(decisions[t*numStates+state])
+	surv := *dp
+	return traceAnchored(surv, forwardFloat(llrs, surv), anchor)
+}
+
+// forwardFloat runs the add-compare-select recursion on float64 path
+// metrics, filling one survivor word per step, and returns the best final
+// state.
+//
+// The loop iterates over destination-state butterflies: states k and
+// k+32 share the predecessors 2k and 2k+1, so each pair of metrics is
+// loaded once, with no infinity screening. Branch costs and tie-breaking
+// (the even, lower predecessor wins ties) are arithmetically identical to
+// the per-source-state textbook formulation, so decoded output is bit for
+// bit the textbook decoder's.
+func forwardFloat(llrs []float64, surv []uint64) int {
+	const inf = math.MaxFloat64 / 4
+	var metricA, metricB [numStates]float64
+	metric, next := &metricA, &metricB
+	for s := 1; s < numStates; s++ {
+		metric[s] = inf
 	}
-	// Payload region: traceback anchored at the known zero state.
-	traceback(decisions, bits, anchorBit, 0)
-	return bits, nil
+	// Per-step branch costs indexed by the branch output pair outA|outB<<1:
+	// cost[o] = (la if o&1) + (lb if o&2). For o = 3 the two LLRs are
+	// summed before the path metric is added, and every consumer of these
+	// metrics (tests' textbook oracle included) keeps that association.
+	var cost [4]float64
+	for t := range surv {
+		la, lb := llrs[2*t], llrs[2*t+1]
+		cost[1] = la
+		cost[2] = lb
+		cost[3] = la + lb
+		var word uint64
+		for k := 0; k < numStates/2; k++ {
+			m0, m1 := metric[2*k], metric[2*k+1]
+			if c0, c1 := m0+cost[outsIn[0][2*k]], m1+cost[outsIn[0][2*k+1]]; c0 <= c1 {
+				next[k] = c0
+			} else {
+				next[k] = c1
+				word |= 1 << k
+			}
+			if c0, c1 := m0+cost[outsIn[1][2*k]], m1+cost[outsIn[1][2*k+1]]; c0 <= c1 {
+				next[k+32] = c0
+			} else {
+				next[k+32] = c1
+				word |= 1 << (k + 32)
+			}
+		}
+		surv[t] = word
+		metric, next = next, metric
+	}
+	return bestState(metric)
+}
+
+// bestState returns the state with the lowest path metric, the lowest
+// state winning ties.
+func bestState[T int16 | float64](metric *[numStates]T) int {
+	state := 0
+	for s, m := range metric {
+		if m < metric[state] {
+			state = s
+		}
+	}
+	return state
+}
+
+// traceAnchored walks the survivors of len(surv) steps back into bits:
+// bits [anchor, n) from state final at the end, bits [0, anchor) from the
+// zero state at step anchor. anchor == n is terminated decoding; anchor
+// == 0 is best-final-state decoding when final is the best state.
+func traceAnchored(surv []uint64, final, anchor int) []byte {
+	n := len(surv)
+	bits := make([]byte, n)
+	traceback(surv, bits, anchor, n, final)
+	traceback(surv, bits, 0, anchor, 0)
+	return bits
+}
+
+// traceback fills bits[lo:hi] along the survivor path that is in state at
+// step hi; the input bit that led into each state is its top bit.
+func traceback(surv []uint64, bits []byte, lo, hi, state int) {
+	for t := hi - 1; t >= lo; t-- {
+		bits[t] = byte(state >> 5)
+		state = (state&31)<<1 | int(surv[t]>>uint(state)&1)
+	}
 }
 
 // DecodePuncturedAnchored depunctures llrs for rate r (nInfo information
@@ -235,10 +233,15 @@ func (v *Viterbi) DecodePuncturedAnchored(llrs []float64, r CodeRate, nInfo, anc
 	return v.DecodeAnchored(mother, anchorBit)
 }
 
-// DecodeHard is a convenience wrapper that decodes hard-decision
-// mother-code bits.
+// DecodeHard decodes hard-decision mother-code bits (0/1 per byte) on
+// integer path metrics, with the traceback Terminated selects. The output
+// equals Decode(HardToLLR(coded)).
 func (v *Viterbi) DecodeHard(coded []byte) ([]byte, error) {
-	return v.Decode(HardToLLR(coded))
+	if len(coded)%2 != 0 {
+		return nil, fmt.Errorf("coding: Viterbi needs an even LLR count, got %d", len(coded))
+	}
+	n := len(coded) / 2
+	return v.DecodeHardPuncturedAnchored(coded, Rate1_2, n, v.anchorAll(n))
 }
 
 // DecodePunctured depunctures llrs for rate r (nInfo information bits,

@@ -12,6 +12,12 @@ import "sync/atomic"
 // the scalar twin (the equivalence and fuzz tests pin this). Builds with
 // the purego tag (or any other GOARCH) compile only the scalar code.
 //
+// One kernel outside this package shares the detection and the switch:
+// internal/coding's AVX2 integer Viterbi add-compare-select
+// (acs_amd64.s), which runs when SIMDName reports "avx2" and is
+// bit-identical to its scalar loop (int16 lanes that never overflow). It
+// has no NEON twin, so on arm64 the decoder stays scalar.
+//
 // asmOK is set once, at package init, before any other goroutine can
 // touch the package; scalarForced is the runtime kill switch.
 var (

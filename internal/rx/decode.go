@@ -82,7 +82,7 @@ func DecodeData(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolDecider) (Res
 }
 
 // decodeCodedData runs the post-decision half of the DATA pipeline on the
-// deinterleaved coded bit stream: depuncture, anchored Viterbi,
+// deinterleaved coded bit stream: depuncture, anchored integer Viterbi,
 // descramble, FCS. Shared by the serial and parallel decode paths.
 func decodeCodedData(coded []byte, mcs wifi.MCS, psduLen, nSyms int) (Result, error) {
 	defer stageDecode.ObserveSince(time.Now())
@@ -94,7 +94,7 @@ func decodeCodedData(coded []byte, mcs wifi.MCS, psduLen, nSyms int) (Result, er
 	// channel errors can never corrupt PSDU bits (best-final-state
 	// traceback can reach into the payload when the pad is shorter than
 	// the survivor-merge depth).
-	bits, err := vit.DecodePuncturedAnchored(coding.HardToLLR(coded), mcs.Rate, nInfo, wifi.DataAnchorBit(psduLen, nInfo))
+	bits, err := vit.DecodeHardPuncturedAnchored(coded, mcs.Rate, nInfo, wifi.DataAnchorBit(psduLen, nInfo))
 	if err != nil {
 		return Result{}, err
 	}

@@ -83,6 +83,23 @@ func chaosWorker(t *testing.T, url string, tr *chaosTransport) *Worker {
 	return w
 }
 
+// registeredID waits for w's asynchronous registration and returns its
+// worker id: a revoke or drain aimed at a worker that has not registered
+// yet would name nobody, and the worker would never be told to exit.
+func registeredID(t *testing.T, w *Worker) string {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if id := w.WorkerID(); id != "" {
+			return id
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("worker never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestChaosByteIdentical is the acceptance pin for the hardened tier:
 // with injected transport faults (pre-send failures AND post-processing
 // response drops), a mid-sweep worker kill, a graceful drain, a
@@ -129,18 +146,14 @@ func TestChaosByteIdentical(t *testing.T) {
 	// replacement.
 	waitPoint("the revocation")
 	replacement := chaosWorker(t, srv.URL, &chaosTransport{base: http.DefaultTransport, failNth: 8, dropNth: 13})
-	if id := flaky.WorkerID(); id != "" {
-		c.RevokeWorker(id)
-	}
+	c.RevokeWorker(registeredID(t, flaky))
 
 	// Drain the replacement near the end: its in-flight lease must land
 	// and the job must still finish (the drained worker may be the last
 	// one; draining only blocks NEW leases after the current one).
 	waitPoint("the drain")
 	chaosWorker(t, srv.URL, &chaosTransport{base: http.DefaultTransport, failNth: 10})
-	if id := replacement.WorkerID(); id != "" {
-		c.DrainWorker(id)
-	}
+	c.DrainWorker(registeredID(t, replacement))
 
 	if got := waitTable(t, j); got != want {
 		t.Fatalf("chaos table differs from direct:\n%s\nvs\n%s", got, want)

@@ -431,42 +431,53 @@ func (s *Supervisor) decide(st dist.FleetStats, workers []dist.WorkerInfo, now t
 	acts = append(acts, s.detectStuckLocked(workers, st, now)...)
 
 	regByName := make(map[string]dist.WorkerInfo, len(workers))
-	active := 0
+	active, draining := 0, 0
 	for _, wi := range workers {
 		regByName[wi.Name] = wi
-		if wi.State != workerActive {
+		if wi.State != workerActive && wi.State != workerDraining {
 			continue
 		}
 		if strings.HasPrefix(wi.Name, s.prefix+"-") {
 			if _, alive := s.procs[wi.Name]; !alive {
 				// This life spawned it and watched the process die; the
 				// registry has not caught up (a kill -9'd worker reads as
-				// "active" until its lease TTLs and it is pruned). Revoke
-				// on sight: a dead process cannot honour a drain, and
-				// revocation re-queues its lease now instead of at TTL
-				// expiry. Not counted live, so its replacement can spawn
-				// this pass.
-				id := wi.ID
-				s.log.Warn("revoking registry entry of dead spawned worker", "worker", id, "name", wi.Name)
-				acts = append(acts, func(ctx context.Context) {
-					if err := s.workerAction(ctx, id, "revoke"); err != nil {
-						s.log.Warn("dead-worker revoke failed", "worker", id, "err", err)
-					}
-				})
+				// "active" until its lease TTLs and it is pruned). Not
+				// counted, so its replacement can spawn this pass. An
+				// active one is revoked on sight: a dead process cannot
+				// honour a drain, and revocation re-queues its lease now
+				// instead of at TTL expiry.
+				if wi.State == workerActive {
+					id := wi.ID
+					s.log.Warn("revoking registry entry of dead spawned worker", "worker", id, "name", wi.Name)
+					acts = append(acts, func(ctx context.Context) {
+						if err := s.workerAction(ctx, id, "revoke"); err != nil {
+							s.log.Warn("dead-worker revoke failed", "worker", id, "err", err)
+						}
+					})
+				}
 				continue
 			}
 		}
-		active++
+		if wi.State == workerActive {
+			active++
+		} else if _, stuck := s.stuckDrainedAt[wi.ID]; !stuck {
+			// Draining to exit. A stuck one is not counted: it is being
+			// replaced, not waited for.
+			draining++
+		}
 	}
 
 	// Reconcile owned processes against the registry: count the not yet
-	// registered as live (so a fresh spawn is not doubled), kill spawns
-	// that never registered within grace, reap revoked ones.
+	// registered as live (so a fresh spawn is not doubled) and the
+	// drained-and-deregistered as still draining until they exit, kill
+	// spawns that never registered within grace, reap revoked ones.
 	pending := 0
 	for name, ps := range s.procs {
 		wi, registered := regByName[name]
 		switch {
 		case ps.killed:
+		case !registered && ps.draining:
+			draining++
 		case !registered && now.Sub(ps.spawned) < s.cfg.RegisterGrace:
 			pending++
 		case !registered:
@@ -484,11 +495,14 @@ func (s *Supervisor) decide(st dist.FleetStats, workers []dist.WorkerInfo, now t
 		}
 	}
 
+	// Draining workers take no new work, so they are not live capacity
+	// and are never drained twice; but their processes still run, so
+	// they count against MaxWorkers until they exit.
 	live := active + pending
 	target := s.targetFor(st)
 	s.lastTarget, s.lastLive = target, live
 
-	if live < target {
+	if live+draining < target {
 		acts = append(acts, s.scaleUpLocked(now)...)
 	} else if live > target && active > 0 {
 		acts = append(acts, s.scaleDownLocked(workers, live-target)...)
@@ -499,21 +513,23 @@ func (s *Supervisor) decide(st dist.FleetStats, workers []dist.WorkerInfo, now t
 // targetFor maps fleet demand to a worker count: size the fleet so the
 // pending queue drains in about DrainTarget at the observed per-point
 // latency; one worker per pending point while no estimate exists (the
-// first completed point seeds it); at least one worker while any lease
-// is still in flight; MinWorkers when idle.
+// first completed point seeds it); at least one worker while any job is
+// still running; MinWorkers when idle.
 func (s *Supervisor) targetFor(st dist.FleetStats) int {
 	t := 0
 	switch {
 	case st.QueueDepth == 0:
 		// Nothing unleased. In-flight leases are already owned by live
 		// workers; they only need the fleet to not scale to zero under
-		// them (handled below).
+		// them (handled below). A running job can also read as neither
+		// queued nor leased for an instant (a lease finishing or being
+		// re-queued) and still have an unfinished point.
 	case st.LeaseEstSeconds <= 0:
 		t = st.QueueDepth
 	default:
 		t = int(math.Ceil(float64(st.QueueDepth) * st.LeaseEstSeconds / s.cfg.DrainTarget.Seconds()))
 	}
-	if (st.QueueDepth > 0 || st.LeasesInflight > 0) && t < 1 {
+	if (st.QueueDepth > 0 || st.LeasesInflight > 0 || st.JobsRunning > 0) && t < 1 {
 		t = 1
 	}
 	if t < s.cfg.MinWorkers {
