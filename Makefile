@@ -30,11 +30,14 @@ test-purego:
 # serve concurrent subscribers in both tiers (internal/api and the
 # cprecycle-bench HTTP surface), the intra-packet parallel symbol decode
 # in rx (hard and soft), the dsp kernel dispatch (shared
-# SlideTab/FFT-plan caches + the ForceScalar toggle), and the Viterbi
+# SlideTab/FFT-plan caches + the ForceScalar toggle), the Viterbi
 # decoder's pooled survivor and int8 scratch that the parallel decoders
-# share.
+# share, and the pooled transmit scratch (composites, interferer streams,
+# modulators) that concurrent RunPacket calls share through
+# internal/experiments, internal/interference, internal/wifi and
+# internal/ofdm, with the modem's candidate sort on the decision path.
 test-race-sweep:
-	$(GO) test -race ./internal/sweep/... ./internal/api/ ./cmd/cprecycle-bench/ ./internal/wifi/ ./internal/experiments/ ./internal/rx/ ./internal/dsp/ ./internal/coding/
+	$(GO) test -race ./internal/sweep/... ./internal/api/ ./cmd/cprecycle-bench/ ./internal/wifi/ ./internal/experiments/ ./internal/rx/ ./internal/dsp/ ./internal/coding/ ./internal/interference/ ./internal/modem/ ./internal/ofdm/
 
 # Short end-to-end sweep through the engine (sharded workers + waveform
 # pool) plus a 2-worker parallel-decode equivalence check, as run in CI.
@@ -56,8 +59,12 @@ bench:
 # Hot-path micro-benchmarks with allocation reporting: segment
 # demodulation (old FFT-per-window vs sliding-DFT batch), multi-segment
 # observation, Viterbi (float decode, and the hard decode at the
-# aci-fresh packet size with its ForceScalar twin), sliding kernels.
+# aci-fresh packet size with its ForceScalar twin), sliding kernels, and
+# at packet size one Fig 8 ACI synthesis (Scenario.Run) and one whole
+# aci-fresh packet (PSRPlan.RunPacket).
 bench-hotpath:
+	$(GO) test -bench 'BenchmarkScenarioRunACI' -benchtime 200x -benchmem -run '^$$' ./internal/interference/
+	$(GO) test -bench 'BenchmarkRunPacketACI' -benchtime 200x -benchmem -run '^$$' ./internal/experiments/
 	$(GO) test -bench 'BenchmarkSegment' -benchtime 2000x -run '^$$' ./internal/ofdm/
 	$(GO) test -bench 'BenchmarkObserve' -benchtime 2000x -run '^$$' ./internal/rx/
 	$(GO) test -bench 'BenchmarkViterbiDecode' -benchtime 500x -run '^$$' ./internal/coding/
@@ -76,9 +83,13 @@ bench-hotpath:
 # dsp suite includes the
 # SIMD kernel benchmarks (BenchmarkPlanar*) and their ForceScalar twins;
 # the obs suite pins the metrics layer at 0 allocs per hot-path update;
-# the store suite covers the result store's encode/decode/lookup path.
+# the store suite covers the result store's encode/decode/lookup path;
+# the interference and experiments suites time one packet's synthesis
+# and one whole packet at the aci-fresh Fig 8 point.
 bench-json:
 	set -e; tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) test -bench 'BenchmarkScenarioRunACI' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/interference/ >> "$$tmp"; \
+	$(GO) test -bench 'BenchmarkRunPacketACI' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/experiments/ >> "$$tmp"; \
 	$(GO) test -bench 'BenchmarkObserve' -benchtime 2000x -count 3 -benchmem -run '^$$' ./internal/rx/ >> "$$tmp"; \
 	$(GO) test -bench 'BenchmarkSegment' -benchtime 2000x -count 3 -benchmem -run '^$$' ./internal/ofdm/ >> "$$tmp"; \
 	$(GO) test -bench 'BenchmarkViterbiDecode' -benchtime 500x -count 3 -benchmem -run '^$$' ./internal/coding/ >> "$$tmp"; \

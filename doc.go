@@ -26,6 +26,13 @@
 // (rx.Frame.ObserveSegments, core.Receiver). Values convert to
 // complex128 only at the equalizer/constellation boundary, and every
 // planar kernel is pinned value-identical to its interleaved twin.
+// Transmit synthesis is planar and allocation-free too: ofdm.Modulator
+// runs the unnormalised planar inverse FFT with one gain multiply per
+// sample, wifi.BuildPPDUInto encodes into a caller's buffer from pooled
+// scratch, channel.Multipath.AddInto filters each interferer tile
+// straight into the stream, and interference.Scenario.RunInto realises a
+// packet into a reused Composite (PSRPlan.RunPacket recycles them through
+// a sync.Pool), so a steady-state packet's synthesis allocates nothing.
 // The hottest planar kernels additionally run hand-written SIMD — AVX2
 // on amd64 (runtime CPUID dispatch) and NEON on arm64 — with the Go
 // loops kept as a complete scalar fallback (purego build tag,

@@ -87,20 +87,42 @@ func (m *Multipath) DelaySpread() int {
 // floating-point results), and is much faster for the few-tap channels the
 // experiments use than materialising the full convolution.
 func (m *Multipath) Apply(x []complex128) []complex128 {
-	taps := m.Taps
 	out := make([]complex128, len(x))
-	for p := range out {
-		kmax := len(taps) - 1
-		if kmax > p {
-			kmax = p
-		}
-		var acc complex128
-		for k := kmax; k >= 0; k-- {
-			acc += x[p-k] * taps[k]
-		}
-		out[p] = acc
-	}
+	m.ApplyInto(out, x)
 	return out
+}
+
+// ApplyInto is Apply writing into out, which must have len(x) samples and
+// must not overlap x.
+func (m *Multipath) ApplyInto(out, x []complex128) {
+	if len(out) != len(x) {
+		panic(fmt.Sprintf("channel: ApplyInto got %d output samples for %d input", len(out), len(x)))
+	}
+	for p := range out {
+		out[p] = m.sampleAt(x, p)
+	}
+}
+
+// AddInto accumulates Apply(x) into dst starting at dst[offset], like
+// dsp.AddInto(dst, m.Apply(x), offset) but without the intermediate
+// slice: each output sample is computed in the same tap order and then
+// added, and samples falling outside dst are skipped uncomputed.
+func (m *Multipath) AddInto(dst, x []complex128, offset int) {
+	lo, hi := max(0, -offset), min(len(x), len(dst)-offset)
+	for p := lo; p < hi; p++ {
+		dst[offset+p] += m.sampleAt(x, p)
+	}
+}
+
+// sampleAt returns output sample p of the channel applied to x.
+func (m *Multipath) sampleAt(x []complex128, p int) complex128 {
+	taps := m.Taps
+	kmax := min(len(taps)-1, p)
+	var acc complex128
+	for k := kmax; k >= 0; k-- {
+		acc += x[p-k] * taps[k]
+	}
+	return acc
 }
 
 // FrequencyResponse returns the channel's frequency response on an n-point

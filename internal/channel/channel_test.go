@@ -89,6 +89,27 @@ func TestApplyMatchesManualConvolution(t *testing.T) {
 	}
 }
 
+// TestAddIntoMatchesApplyThenAdd pins the fused filter-and-accumulate to
+// dsp.AddInto of Apply's output bit for bit, at offsets that clip either
+// end of the destination or miss it entirely.
+func TestAddIntoMatchesApplyThenAdd(t *testing.T) {
+	r := dsp.NewRand(9)
+	m := Exponential(r, 4, 3)
+	x := r.CNVector(50, 1)
+	for _, off := range []int{-60, -50, -13, 0, 7, 30, 80, 200} {
+		base := r.CNVector(80, 1)
+		want := append([]complex128(nil), base...)
+		dsp.AddInto(want, m.Apply(x), off)
+		got := append([]complex128(nil), base...)
+		m.AddInto(got, x, off)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("offset %d sample %d: %v, want %v", off, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestFrequencyResponseMatchesDFT(t *testing.T) {
 	m := Indoor2Tap()
 	h := m.FrequencyResponse(64)

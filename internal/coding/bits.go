@@ -22,13 +22,18 @@ import "fmt"
 // BytesToBits expands octets to bits, least-significant bit of each octet
 // first (802.11 §18.3.5.2 bit ordering).
 func BytesToBits(data []byte) []byte {
-	out := make([]byte, 0, len(data)*8)
+	return AppendBits(make([]byte, 0, len(data)*8), data)
+}
+
+// AppendBits appends BytesToBits(data) to dst and returns the extended
+// slice.
+func AppendBits(dst, data []byte) []byte {
 	for _, b := range data {
 		for i := 0; i < 8; i++ {
-			out = append(out, (b>>i)&1)
+			dst = append(dst, (b>>i)&1)
 		}
 	}
-	return out
+	return dst
 }
 
 // BitsToBytes packs bits (LSB-first per octet) back into octets. The bit

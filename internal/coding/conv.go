@@ -25,14 +25,19 @@ func parity(v uint32) byte {
 // all-zero state. Output is A0 B0 A1 B1 …, twice the input length. Callers
 // terminate the trellis by appending six zero tail bits to the input.
 func ConvEncode(bits []byte) []byte {
-	out := make([]byte, 0, 2*len(bits))
+	return AppendConvEncode(make([]byte, 0, 2*len(bits)), bits)
+}
+
+// AppendConvEncode appends ConvEncode(bits) to dst and returns the
+// extended slice, so a transmitter can reuse one coded-bit buffer.
+func AppendConvEncode(dst, bits []byte) []byte {
 	var reg uint32 // reg holds the last 6 input bits; newest in bit 5... we use shift-in-at-top
 	for _, b := range bits {
 		v := (uint32(b&1) << 6) | reg
-		out = append(out, parity(v&polyA), parity(v&polyB))
+		dst = append(dst, parity(v&polyA), parity(v&polyB))
 		reg = v >> 1
 	}
-	return out
+	return dst
 }
 
 // CodeRate identifies one of the 802.11 puncturing configurations.
@@ -87,18 +92,26 @@ func (r CodeRate) Den() int {
 	}
 }
 
-// puncturePattern returns the keep-mask over one period of mother-code
-// output bits (A1 B1 A2 B2 …), per §18.3.5.6 figures 18-9/18-10.
+// Keep-masks over one period of mother-code output bits (A1 B1 A2 B2 …),
+// per §18.3.5.6 figures 18-9/18-10.
+var (
+	pattern1_2 = []bool{true, true}
+	// period: A1 B1 A2 B2 → keep A1 B1 A2, drop B2
+	pattern2_3 = []bool{true, true, true, false}
+	// period: A1 B1 A2 B2 A3 B3 → keep A1 B1 A2 B3, drop B2 A3
+	pattern3_4 = []bool{true, true, true, false, false, true}
+)
+
+// puncturePattern returns the shared keep-mask for r; callers must not
+// modify it.
 func (r CodeRate) puncturePattern() []bool {
 	switch r {
 	case Rate1_2:
-		return []bool{true, true}
+		return pattern1_2
 	case Rate2_3:
-		// period: A1 B1 A2 B2 → keep A1 B1 A2, drop B2
-		return []bool{true, true, true, false}
+		return pattern2_3
 	case Rate3_4:
-		// period: A1 B1 A2 B2 A3 B3 → keep A1 B1 A2 B3, drop B2 A3
-		return []bool{true, true, true, false, false, true}
+		return pattern3_4
 	default:
 		panic("coding: unknown rate")
 	}
@@ -106,14 +119,19 @@ func (r CodeRate) puncturePattern() []bool {
 
 // Puncture removes the positions dropped by rate r from mother-code output.
 func Puncture(coded []byte, r CodeRate) []byte {
+	return AppendPuncture(make([]byte, 0, len(coded)), coded, r)
+}
+
+// AppendPuncture appends Puncture(coded, r) to dst and returns the
+// extended slice.
+func AppendPuncture(dst, coded []byte, r CodeRate) []byte {
 	pat := r.puncturePattern()
-	out := make([]byte, 0, len(coded))
 	for i, b := range coded {
 		if pat[i%len(pat)] {
-			out = append(out, b)
+			dst = append(dst, b)
 		}
 	}
-	return out
+	return dst
 }
 
 // Depuncture expands a punctured LLR stream back to mother-code positions,

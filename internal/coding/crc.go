@@ -13,8 +13,15 @@ import (
 func AppendFCS(data []byte) []byte {
 	out := make([]byte, len(data)+4)
 	copy(out, data)
-	binary.LittleEndian.PutUint32(out[len(data):], crc32.ChecksumIEEE(data))
+	PutFCS(out)
 	return out
+}
+
+// PutFCS writes the CRC-32 FCS of frame[:len(frame)-4] into the frame's
+// last 4 octets, forming in place the frame AppendFCS would return.
+func PutFCS(frame []byte) {
+	body := frame[:len(frame)-4]
+	binary.LittleEndian.PutUint32(frame[len(body):], crc32.ChecksumIEEE(body))
 }
 
 // CheckFCS verifies the trailing FCS of a frame produced by AppendFCS and

@@ -104,6 +104,17 @@ func (p *FFTPlan) InversePlanar(x Planar) {
 	x.Scale(1 / float64(p.n))
 }
 
+// InversePlanarUnscaled is InversePlanar without the 1/N scaling:
+// x[n] = Σ_k X[k]·e^{+i2πkn/N}. For power-of-two N the scaling is an
+// exact power-of-two multiply, so a caller that would undo it (the OFDM
+// modulator scales by N) gets the same values by skipping both.
+func (p *FFTPlan) InversePlanarUnscaled(x Planar) {
+	if x.Len() != p.n {
+		panic(fmt.Sprintf("dsp: InversePlanarUnscaled length %d, plan size %d", x.Len(), p.n))
+	}
+	p.transformPlanar(x.Re, x.Im, false)
+}
+
 // transformPlanar mirrors transform butterfly-for-butterfly: each complex
 // operation is expanded to the float operations the compiler emits for the
 // interleaved form ((ac−bd, ad+bc) products, adds/subs in the same order),

@@ -101,6 +101,11 @@ func TestForwardInversePlanarMatchesInterleaved(t *testing.T) {
 		pi := planarOf(x)
 		plan.InversePlanar(pi)
 		requirePlanarEqual(t, "inverse", pi, inv)
+
+		pu := planarOf(x)
+		plan.InversePlanarUnscaled(pu)
+		pu.Scale(1 / float64(n))
+		requirePlanarEqual(t, "unscaled inverse", pu, inv)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/channel"
+	"repro/internal/coding"
 	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/interference"
@@ -357,9 +358,12 @@ func RunPSR(cfg LinkConfig) ([]PSRPoint, error) {
 func (p *PSRPlan) RunPacket(pkt int, ok []bool) error {
 	pktStart := time.Now()
 	cfg := p.cfg
-	r := dsp.NewRand(cfg.Seed*1_000_003 + int64(pkt))
-	psdu := wifi.BuildPSDU(r.Bytes(cfg.PSDUBytes - 4))
-	c, err := cfg.Scenario.Run(r, psdu, cfg.MCS)
+	pb := packetPool.Get().(*packetBuf)
+	defer packetPool.Put(pb)
+	r := pb.rand(cfg.Seed*1_000_003 + int64(pkt))
+	psdu := pb.psduFrom(r, cfg.PSDUBytes)
+	c := &pb.c
+	err := cfg.Scenario.RunInto(c, r, psdu, cfg.MCS)
 	stageTx.ObserveSince(pktStart)
 	if err != nil {
 		return err
@@ -453,6 +457,38 @@ func (p *PSRPlan) RunPacket(pkt int, ok []bool) error {
 	packetsTotal.Inc()
 	packetSeconds.ObserveSince(pktStart)
 	return nil
+}
+
+// packetBuf is one packet's transmit state — RNG, victim PSDU and the
+// realised composite — recycled through packetPool. RunPacket holds it
+// until every arm has decoded, since the frame and the Oracle read the
+// composite's buffers in place.
+type packetBuf struct {
+	r    *dsp.Rand
+	psdu []byte
+	c    interference.Composite
+}
+
+var packetPool = sync.Pool{New: func() any { return new(packetBuf) }}
+
+// rand returns the buffer's RNG reseeded to seed: the same stream as
+// dsp.NewRand(seed), without rebuilding the generator state.
+func (b *packetBuf) rand(seed int64) *dsp.Rand {
+	if b.r == nil {
+		b.r = dsp.NewRand(seed)
+	} else {
+		b.r.Seed(seed)
+	}
+	return b.r
+}
+
+// psduFrom draws an n-byte victim PSDU (payload plus FCS) from r into the
+// buffer, consuming r exactly like wifi.BuildPSDU(r.Bytes(n-4)).
+func (b *packetBuf) psduFrom(r *dsp.Rand, n int) []byte {
+	b.psdu = slices.Grow(b.psdu[:0], n)[:n]
+	r.Read(b.psdu[:n-4])
+	coding.PutFCS(b.psdu)
+	return b.psdu
 }
 
 // ACIScenario builds the canonical single adjacent-channel-interferer

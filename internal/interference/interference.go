@@ -13,12 +13,24 @@
 //
 // Subcarrier spacing is 312.5 kHz on every grid (the composite band is an
 // oversampled view), so subcarrier offsets translate directly to MHz.
+//
+// Buffer ownership: Scenario.Run returns a Composite that owns its
+// buffers. Scenario.RunInto reuses a caller's Composite instead — its
+// Samples, InterferenceOnly and Victim.Samples are overwritten in place
+// and stay valid only until the next RunInto on that Composite, and
+// Composite.PSDU aliases the caller's PSDU. Scratch that never leaves a
+// call (the interferer stream, fresh tiles and their PSDUs, and the
+// encoder's modulator and bit buffers) comes from package-level
+// sync.Pools, so concurrent RunInto calls on distinct Composites are safe
+// and even Run allocates only what it returns.
 package interference
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/channel"
+	"repro/internal/coding"
 	"repro/internal/dsp"
 	"repro/internal/ofdm"
 	"repro/internal/wifi"
@@ -119,8 +131,22 @@ func (s *Scenario) InterfererGrid(i int) ofdm.Grid {
 }
 
 // Run realises the scenario for one victim PSDU, drawing interferer
-// payloads, victim data and noise from r.
+// payloads, victim data and noise from r. The returned Composite owns its
+// buffers; Run is RunInto on a fresh Composite.
 func (s *Scenario) Run(r *dsp.Rand, psdu []byte, mcs wifi.MCS) (*Composite, error) {
+	c := new(Composite)
+	if err := s.RunInto(c, r, psdu, mcs); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// RunInto is Run writing into c: it reuses c.Samples, c.InterferenceOnly
+// and c.Victim (with its Samples) when their capacity suffices, so a
+// caller that realises packet after packet into one Composite allocates
+// nothing in steady state. The results stay valid until the next RunInto
+// on c; c.PSDU aliases psdu. After an error c's contents are unspecified.
+func (s *Scenario) RunInto(c *Composite, r *dsp.Rand, psdu []byte, mcs wifi.MCS) error {
 	q := s.Q
 	if q < 1 {
 		q = 1
@@ -132,29 +158,47 @@ func (s *Scenario) Run(r *dsp.Rand, psdu []byte, mcs wifi.MCS) (*Composite, erro
 	}
 
 	vcfg := wifi.TxConfig{Grid: g, MCS: mcs, ScramblerSeed: uint8(1 + r.Intn(127))}
-	victim, err := wifi.BuildPPDU(vcfg, psdu)
+	if c.Victim == nil {
+		c.Victim = new(wifi.PPDU)
+	}
+	victim, err := wifi.BuildPPDUInto(c.Victim.Samples, vcfg, psdu)
 	if err != nil {
-		return nil, fmt.Errorf("interference: victim: %w", err)
+		return fmt.Errorf("interference: victim: %w", err)
 	}
-	vWave := victim.Samples
+	*c.Victim = victim
+
+	// The victim lands in the stream directly: through the channel, or
+	// added onto zeros as the summed stream would receive it.
+	n := len(victim.Samples)
+	streamLen := pad + n + pad
+	stream := resize(c.Samples, streamLen)
+	clear(stream[:pad])
+	clear(stream[pad+n:])
+	vWave := stream[pad : pad+n]
 	if s.Channel != nil {
-		vWave = s.Channel.Apply(vWave)
+		s.Channel.ApplyInto(vWave, victim.Samples)
+	} else {
+		clear(vWave)
+		dsp.AddInto(vWave, victim.Samples, 0)
 	}
-	streamLen := pad + len(vWave) + pad
-	stream := make([]complex128, streamLen)
-	dsp.AddInto(stream, vWave, pad)
 	victimPower := dsp.Power(vWave)
 
-	interfOnly := make([]complex128, streamLen)
-	victimDataStart := pad + victim.DataStart
-	for i := range s.Interferers {
-		wave, err := s.interfererWave(r, i, streamLen, victimDataStart)
-		if err != nil {
-			return nil, err
+	interfOnly := resize(c.InterferenceOnly, streamLen)
+	clear(interfOnly)
+	if len(s.Interferers) > 0 {
+		sc := synthPool.Get().(*synthScratch)
+		defer synthPool.Put(sc)
+		sc.wave = resize(sc.wave, streamLen)
+		wave := sc.wave
+		victimDataStart := pad + victim.DataStart
+		for i := range s.Interferers {
+			if err := s.interfererWave(r, i, wave, victimDataStart, sc); err != nil {
+				return err
+			}
+			gain := channel.GainForSIR(victimPower, dsp.Power(wave), s.Interferers[i].SIRdB)
+			dsp.Scale(wave, gain)
+			dsp.AddInto(interfOnly, wave, 0)
 		}
-		gain := channel.GainForSIR(victimPower, dsp.Power(wave), s.Interferers[i].SIRdB)
-		dsp.Scale(wave, gain)
-		dsp.AddInto(interfOnly, wave, 0)
 	}
 	for i := range interfOnly {
 		stream[i] += interfOnly[i]
@@ -163,29 +207,51 @@ func (s *Scenario) Run(r *dsp.Rand, psdu []byte, mcs wifi.MCS) (*Composite, erro
 		channel.AWGN(r, stream, channel.NoisePowerForSNR(victimPower, s.SNRdB))
 	}
 
-	return &Composite{
-		Samples:          stream,
-		InterferenceOnly: interfOnly,
-		Victim:           victim,
-		Grid:             g,
-		FrameStart:       pad,
-		PSDU:             psdu,
-	}, nil
+	c.Samples = stream
+	c.InterferenceOnly = interfOnly
+	c.Grid = g
+	c.FrameStart = pad
+	c.PSDU = psdu
+	return nil
 }
 
-// interfererWave builds a continuous stream of back-to-back PPDUs from
-// interferer i covering [0, streamLen), tiled so that the interferer's
+// freshPayloadBytes is the payload size of every pool-less interferer
+// tile (a 400-byte PSDU with the FCS).
+const freshPayloadBytes = 396
+
+// synthScratch holds the buffers one RunInto needs only while it runs:
+// the interferer stream, the fresh tile waveform and its PSDU. They come
+// from synthPool, so even the allocating Run reuses them across calls.
+type synthScratch struct {
+	wave []complex128
+	tile []complex128
+	psdu [freshPayloadBytes + 4]byte
+}
+
+var synthPool = sync.Pool{New: func() any { return new(synthScratch) }}
+
+// resize returns buf resliced to n samples, allocating only when its
+// capacity is short. The contents are unspecified.
+func resize(buf []complex128, n int) []complex128 {
+	if cap(buf) < n {
+		return make([]complex128, n)
+	}
+	return buf[:n]
+}
+
+// interfererWave writes into out a continuous stream of back-to-back PPDUs
+// from interferer i covering [0, len(out)), tiled so that the interferer's
 // symbol boundaries fall BoundaryOffset samples past each victim data
 // symbol start. PPDU lengths are whole multiples of the symbol length, so
 // the relative boundary position persists across tiles.
-func (s *Scenario) interfererWave(r *dsp.Rand, i int, streamLen, victimDataStart int) ([]complex128, error) {
+func (s *Scenario) interfererWave(r *dsp.Rand, i int, out []complex128, victimDataStart int, sc *synthScratch) error {
 	itf := s.Interferers[i]
 	g := s.InterfererGrid(i)
 	mcs := itf.MCS
 	if mcs.Name == "" {
 		m, err := wifi.MCSByName("16-QAM 1/2")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mcs = m
 	}
@@ -196,21 +262,21 @@ func (s *Scenario) interfererWave(r *dsp.Rand, i int, streamLen, victimDataStart
 		boundary = g.CP + 1 + r.Intn(symLen-g.CP-1)
 	}
 
-	out := make([]complex128, streamLen)
+	clear(out)
 	if s.Pool != nil {
 		// Pooled tiles: one index draw per tile, shared pre-encoded (and
 		// pre-filtered) waveforms. PPDU length is known without encoding.
 		ppduLen := wifi.PPDULen(g, mcs, s.Pool.PSDUBytes())
 		pos := (victimDataStart+boundary)%symLen - ppduLen
-		for ; pos < streamLen; pos += ppduLen {
+		for ; pos < len(out); pos += ppduLen {
 			w, err := s.Pool.PickFiltered(r, g, mcs, itf.Channel)
 			if err != nil {
-				return nil, fmt.Errorf("interference: interferer %d: %w", i, err)
+				return fmt.Errorf("interference: interferer %d: %w", i, err)
 			}
 			dsp.AddInto(out, w, pos)
 		}
-	} else if err := s.freshTiles(r, itf, g, mcs, out, victimDataStart, boundary); err != nil {
-		return nil, fmt.Errorf("interference: interferer %d: %w", i, err)
+	} else if err := s.freshTiles(r, itf, g, mcs, out, victimDataStart, boundary, sc); err != nil {
+		return fmt.Errorf("interference: interferer %d: %w", i, err)
 	}
 	cfo := itf.CFO
 	if cfo == 0 {
@@ -221,7 +287,7 @@ func (s *Scenario) interfererWave(r *dsp.Rand, i int, streamLen, victimDataStart
 		cfo = mag
 	}
 	dsp.FreqShift(out, cfo, g.NFFT, 0)
-	return out, nil
+	return nil
 }
 
 // freshTiles fills out with per-tile freshly-encoded PPDUs — the pool-less
@@ -229,27 +295,34 @@ func (s *Scenario) interfererWave(r *dsp.Rand, i int, streamLen, victimDataStart
 // per tile plus one trailing payload) reproduces the original
 // build-then-advance loop bit for bit, but the trailing payload — which
 // that loop encoded and then discarded — is only drawn, never encoded,
-// saving one full PPDU build per interferer per packet.
-func (s *Scenario) freshTiles(r *dsp.Rand, itf Interferer, g ofdm.Grid, mcs wifi.MCS, out []complex128, victimDataStart, boundary int) error {
+// saving one full PPDU build per interferer per packet. Each tile is
+// encoded into sc.tile and filtered straight into out.
+func (s *Scenario) freshTiles(r *dsp.Rand, itf Interferer, g ofdm.Grid, mcs wifi.MCS, out []complex128, victimDataStart, boundary int, sc *synthScratch) error {
 	symLen := g.SymLen()
 	cfg := wifi.TxConfig{Grid: g, MCS: mcs, ScramblerSeed: uint8(1 + r.Intn(127))}
-	payload := wifi.BuildPSDU(r.Bytes(396))
+	payload := sc.psdu[:]
+	drawPayload := func() {
+		r.Read(payload[:freshPayloadBytes])
+		coding.PutFCS(payload)
+	}
+	drawPayload()
 	ppduLen := wifi.PPDULen(g, mcs, len(payload))
 	// Choose the first tile position ≡ victimDataStart+boundary (mod symLen)
 	// and at or before sample 0.
 	pos := (victimDataStart+boundary)%symLen - ppduLen
 	for ; pos < len(out); pos += ppduLen {
-		ppdu, err := wifi.BuildPPDU(cfg, payload)
+		ppdu, err := wifi.BuildPPDUInto(sc.tile, cfg, payload)
 		if err != nil {
 			return err
 		}
-		w := ppdu.Samples
+		sc.tile = ppdu.Samples
 		if itf.Channel != nil {
-			w = itf.Channel.Apply(w)
+			itf.Channel.AddInto(out, ppdu.Samples, pos)
+		} else {
+			dsp.AddInto(out, ppdu.Samples, pos)
 		}
-		dsp.AddInto(out, w, pos)
 		// Fresh payload for the next tile.
-		payload = wifi.BuildPSDU(r.Bytes(396))
+		drawPayload()
 	}
 	return nil
 }

@@ -244,29 +244,26 @@ func (c *Constellation) LLR(rx []complex128, n0 float64, dst []float64) []float6
 }
 
 // WithinRadius appends the lattice indices whose points lie within Euclidean
-// distance radius of centre, in increasing-distance order. This implements
-// the fixed-sphere candidate selection of the paper's §4.2.
+// distance radius of centre, in increasing-distance order (ties in lattice
+// index order). This implements the fixed-sphere candidate selection of
+// the paper's §4.2. The candidates are insertion-sorted in place in dst,
+// so a dst with spare capacity makes the call allocation-free.
 func (c *Constellation) WithinRadius(centre complex128, radius float64, dst []int) []int {
 	r2 := radius * radius
-	type cand struct {
-		idx int
-		d   float64
-	}
-	var cands []cand
+	base := len(dst)
 	for i, p := range c.points {
 		d := sqAbs(p - centre)
-		if d <= r2 {
-			cands = append(cands, cand{i, d})
+		if !(d <= r2) {
+			continue
 		}
-	}
-	// insertion sort by distance; candidate sets are tiny
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j].d < cands[j-1].d; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
+		// Shift farther candidates right; equal distances stay ahead of
+		// i, which keeps ties in lattice order (candidate sets are tiny).
+		dst = append(dst, i)
+		j := len(dst) - 1
+		for ; j > base && sqAbs(c.points[dst[j-1]]-centre) > d; j-- {
+			dst[j] = dst[j-1]
 		}
-	}
-	for _, cd := range cands {
-		dst = append(dst, cd.idx)
+		dst[j] = i
 	}
 	return dst
 }

@@ -3,6 +3,7 @@ package modem
 import (
 	"math"
 	"math/cmplx"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -251,6 +252,61 @@ func TestWithinRadiusSortedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// withinRadiusOracle is WithinRadius by definition: every lattice index
+// within the radius, stably sorted by squared distance (ties keep lattice
+// order).
+func withinRadiusOracle(c *Constellation, centre complex128, radius float64) []int {
+	var idxs []int
+	for i, p := range c.Points() {
+		if sqAbs(p-centre) <= radius*radius {
+			idxs = append(idxs, i)
+		}
+	}
+	sort.SliceStable(idxs, func(a, b int) bool {
+		return sqAbs(c.Point(idxs[a])-centre) < sqAbs(c.Point(idxs[b])-centre)
+	})
+	return idxs
+}
+
+// TestWithinRadiusMatchesStableSort pins WithinRadius's exact order —
+// ascending distance, ties in lattice order, which decideModelWeighted's
+// first-wins tie-break relies on — against a sort.SliceStable oracle,
+// including tie-heavy centres (the origin and lattice midpoints) and a
+// dst that already holds entries.
+func TestWithinRadiusMatchesStableSort(t *testing.T) {
+	for _, s := range []Scheme{BPSK, QPSK, QAM16, QAM64} {
+		c := New(s)
+		dmin := c.MinDistance()
+		r := dsp.NewRand(int64(s) + 1)
+		centres := []complex128{0, c.Point(0), (c.Point(0) + c.Point(1)) / 2}
+		for i := 0; i < 40; i++ {
+			centres = append(centres, complex(r.NormFloat64(), r.NormFloat64()))
+		}
+		for _, centre := range centres {
+			for _, radius := range []float64{0.3 * dmin, dmin, 1.5 * dmin, 10} {
+				want := withinRadiusOracle(c, centre, radius)
+				got := c.WithinRadius(centre, radius, []int{-7})
+				if len(got) != len(want)+1 || got[0] != -7 {
+					t.Fatalf("%v centre %v radius %v: got %v, want [-7] + %v", s, centre, radius, got, want)
+				}
+				for i, idx := range want {
+					if got[i+1] != idx {
+						t.Fatalf("%v centre %v radius %v: got %v, want [-7] + %v", s, centre, radius, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestWithinRadiusAllocs(t *testing.T) {
+	c := New(QAM64)
+	dst := make([]int, 0, c.Size())
+	if a := testing.AllocsPerRun(100, func() { dst = c.WithinRadius(0.3+0.2i, 0.5, dst[:0]) }); a != 0 {
+		t.Fatalf("WithinRadius allocates %v times per call", a)
 	}
 }
 

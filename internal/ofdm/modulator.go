@@ -10,12 +10,13 @@ import (
 )
 
 // Modulator synthesises cyclic-prefixed OFDM symbols on a Grid. It caches
-// the FFT plan for the grid size. Not safe for concurrent use.
+// the FFT plan for the grid size and runs the planar inverse transform on
+// its own scratch. Not safe for concurrent use.
 type Modulator struct {
 	grid Grid
 	plan *dsp.FFTPlan
-	freq []complex128 // scratch frequency-domain buffer
-	body []complex128 // scratch time-domain buffer for SymbolInto
+	freq []complex128 // scratch frequency-domain buffer for Symbol
+	body dsp.Planar   // planar scratch for the inverse transform
 }
 
 // NewModulator returns a modulator for the grid. The FFT plan comes from
@@ -32,7 +33,7 @@ func NewModulator(g Grid) (*Modulator, error) {
 		grid: g,
 		plan: p,
 		freq: make([]complex128, g.NFFT),
-		body: make([]complex128, g.NFFT),
+		body: dsp.NewPlanar(g.NFFT),
 	}, nil
 }
 
@@ -60,54 +61,53 @@ func (m *Modulator) Symbol(values map[int]complex128) []complex128 {
 	for sc, v := range values {
 		m.freq[m.grid.Bin(sc)] = v
 	}
-	return m.timeSymbol()
+	out := make([]complex128, m.grid.SymLen())
+	m.symbolInto(out, m.freq, 1)
+	return out
 }
 
 // SymbolFromBins synthesises one OFDM symbol directly from a full
 // frequency-domain vector of length NFFT (bin order, not subcarrier order).
 func (m *Modulator) SymbolFromBins(bins []complex128) []complex128 {
-	if len(bins) != m.grid.NFFT {
-		panic(fmt.Sprintf("ofdm: SymbolFromBins got %d bins, want %d", len(bins), m.grid.NFFT))
-	}
-	copy(m.freq, bins)
-	return m.timeSymbol()
-}
-
-func (m *Modulator) timeSymbol() []complex128 {
 	out := make([]complex128, m.grid.SymLen())
-	m.timeSymbolInto(out)
+	m.SymbolFromBinsInto(out, bins, 1)
 	return out
-}
-
-// timeSymbolInto synthesises the symbol for the current m.freq contents
-// into out (length SymLen), without allocating.
-func (m *Modulator) timeSymbolInto(out []complex128) {
-	n := m.grid.NFFT
-	body := m.body
-	copy(body, m.freq)
-	m.plan.Inverse(body)
-	// The IFFT's 1/N scaling makes occupied-bin amplitudes tiny in the time
-	// domain; scale by N so that a single occupied unit bin produces a unit
-	// amplitude complex exponential, keeping powers comparable across grid
-	// sizes (an oversampled embedding then has identical sample power).
-	dsp.Scale(body, float64(n))
-	copy(out, body[n-m.grid.CP:])
-	copy(out[m.grid.CP:], body)
 }
 
 // SymbolFromBinsInto synthesises one OFDM symbol from a full
 // frequency-domain vector directly into out, which must have length
-// SymLen. It is the allocation-free form of SymbolFromBins, used by the
-// transmitter's per-symbol hot path.
-func (m *Modulator) SymbolFromBinsInto(out, bins []complex128) {
+// SymLen, with every sample scaled by gain. It is the allocation-free form
+// of SymbolFromBins, used by the transmitter's per-symbol hot path.
+func (m *Modulator) SymbolFromBinsInto(out, bins []complex128, gain float64) {
 	if len(bins) != m.grid.NFFT {
-		panic(fmt.Sprintf("ofdm: SymbolFromBinsInto got %d bins, want %d", len(bins), m.grid.NFFT))
+		panic(fmt.Sprintf("ofdm: SymbolFromBins got %d bins, want %d", len(bins), m.grid.NFFT))
 	}
 	if len(out) != m.grid.SymLen() {
 		panic(fmt.Sprintf("ofdm: SymbolFromBinsInto got %d output samples, want %d", len(out), m.grid.SymLen()))
 	}
-	copy(m.freq, bins)
-	m.timeSymbolInto(out)
+	m.symbolInto(out, bins, gain)
+}
+
+// symbolInto writes the gain-scaled, cyclic-prefixed symbol for bins into
+// out. The symbol is the unnormalised inverse DFT of the bins: a single
+// occupied unit bin produces a unit-amplitude complex exponential, keeping
+// powers comparable across grid sizes (an oversampled embedding has
+// identical sample power). That equals the 1/N-scaled inverse times N, and
+// because both factors are exact powers of two, one multiply by gain per
+// sample gives the same values as scaling by 1/N, N and gain in turn.
+func (m *Modulator) symbolInto(out, bins []complex128, gain float64) {
+	n, cp := m.grid.NFFT, m.grid.CP
+	dsp.Deinterleave(m.body, bins)
+	m.plan.InversePlanarUnscaled(m.body)
+	re, im := m.body.Re, m.body.Im
+	prefix := out[:cp]
+	for i := range prefix {
+		prefix[i] = complex(re[n-cp+i]*gain, im[n-cp+i]*gain)
+	}
+	body := out[cp : cp+n]
+	for i := range body {
+		body[i] = complex(re[i]*gain, im[i]*gain)
+	}
 }
 
 // GainForUnitPower returns the gain that makes a stream of symbols with

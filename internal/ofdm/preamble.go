@@ -1,6 +1,7 @@
 package ofdm
 
 import (
+	"fmt"
 	"math"
 	"sync"
 )
@@ -133,17 +134,34 @@ var preambleCache sync.Map // Grid -> []complex128
 // oversampled grid it is 320·q samples covering the same 16 µs.
 // The waveform is cached per grid; a fresh copy is returned each call.
 func Preamble(m *Modulator) []complex128 {
-	if v, ok := preambleCache.Load(m.Grid()); ok {
-		cached := v.([]complex128)
-		out := make([]complex128, len(cached))
-		copy(out, cached)
-		return out
+	cached := cachedPreamble(m)
+	out := make([]complex128, len(cached))
+	copy(out, cached)
+	return out
+}
+
+// PreambleInto writes the preamble scaled by gain into dst, which must
+// have length PreambleLen(m.Grid()). It reads the cached waveform in
+// place, so a transmitter pays no copy beyond dst.
+func PreambleInto(dst []complex128, m *Modulator, gain float64) {
+	cached := cachedPreamble(m)
+	if len(dst) != len(cached) {
+		panic(fmt.Sprintf("ofdm: PreambleInto got %d samples, want %d", len(dst), len(cached)))
 	}
-	p := synthesisePreamble(m)
-	cached := make([]complex128, len(p))
-	copy(cached, p)
-	preambleCache.Store(m.Grid(), cached)
-	return p
+	gc := complex(gain, 0)
+	for i, v := range cached {
+		dst[i] = v * gc
+	}
+}
+
+// cachedPreamble returns the shared, read-only preamble for m's grid,
+// synthesising it on first use.
+func cachedPreamble(m *Modulator) []complex128 {
+	if v, ok := preambleCache.Load(m.Grid()); ok {
+		return v.([]complex128)
+	}
+	v, _ := preambleCache.LoadOrStore(m.Grid(), synthesisePreamble(m))
+	return v.([]complex128)
 }
 
 func synthesisePreamble(m *Modulator) []complex128 {

@@ -7,6 +7,7 @@ package wifi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/coding"
 	"repro/internal/modem"
@@ -24,23 +25,25 @@ type MCS struct {
 	Ndbps    int  // data bits per OFDM symbol
 }
 
-// StandardMCS lists all eight 802.11a/g rates in ascending order.
-func StandardMCS() []MCS {
-	return []MCS{
-		{"BPSK 1/2", 6, modem.BPSK, coding.Rate1_2, 0b1101, 1, 48, 24},
-		{"BPSK 3/4", 9, modem.BPSK, coding.Rate3_4, 0b1111, 1, 48, 36},
-		{"QPSK 1/2", 12, modem.QPSK, coding.Rate1_2, 0b0101, 2, 96, 48},
-		{"QPSK 3/4", 18, modem.QPSK, coding.Rate3_4, 0b0111, 2, 96, 72},
-		{"16-QAM 1/2", 24, modem.QAM16, coding.Rate1_2, 0b1001, 4, 192, 96},
-		{"16-QAM 3/4", 36, modem.QAM16, coding.Rate3_4, 0b1011, 4, 192, 144},
-		{"64-QAM 2/3", 48, modem.QAM64, coding.Rate2_3, 0b0001, 6, 288, 192},
-		{"64-QAM 3/4", 54, modem.QAM64, coding.Rate3_4, 0b0011, 6, 288, 216},
-	}
+// standardMCS is the 802.11a/g rate table in ascending order.
+var standardMCS = [...]MCS{
+	{"BPSK 1/2", 6, modem.BPSK, coding.Rate1_2, 0b1101, 1, 48, 24},
+	{"BPSK 3/4", 9, modem.BPSK, coding.Rate3_4, 0b1111, 1, 48, 36},
+	{"QPSK 1/2", 12, modem.QPSK, coding.Rate1_2, 0b0101, 2, 96, 48},
+	{"QPSK 3/4", 18, modem.QPSK, coding.Rate3_4, 0b0111, 2, 96, 72},
+	{"16-QAM 1/2", 24, modem.QAM16, coding.Rate1_2, 0b1001, 4, 192, 96},
+	{"16-QAM 3/4", 36, modem.QAM16, coding.Rate3_4, 0b1011, 4, 192, 144},
+	{"64-QAM 2/3", 48, modem.QAM64, coding.Rate2_3, 0b0001, 6, 288, 192},
+	{"64-QAM 3/4", 54, modem.QAM64, coding.Rate3_4, 0b0011, 6, 288, 216},
 }
+
+// StandardMCS lists all eight 802.11a/g rates in ascending order, in a
+// fresh slice the caller may modify.
+func StandardMCS() []MCS { return slices.Clone(standardMCS[:]) }
 
 // MCSByName returns the MCS with the given Name.
 func MCSByName(name string) (MCS, error) {
-	for _, m := range StandardMCS() {
+	for _, m := range standardMCS {
 		if m.Name == name {
 			return m, nil
 		}
@@ -50,7 +53,7 @@ func MCSByName(name string) (MCS, error) {
 
 // MCSByRateBits returns the MCS encoded by a SIGNAL field RATE value.
 func MCSByRateBits(bits byte) (MCS, error) {
-	for _, m := range StandardMCS() {
+	for _, m := range standardMCS {
 		if m.RateBits == bits&0xF {
 			return m, nil
 		}

@@ -1,6 +1,7 @@
 package wifi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -160,19 +161,22 @@ func (p *WaveformPool) PickFiltered(r *dsp.Rand, g ofdm.Grid, mcs MCS, ch *chann
 	if ch == nil {
 		return e.ppdus[idx].Samples, nil
 	}
-	fk := tapsKey(ch)
+	// The key is built on the stack and converted to a string only when
+	// a new profile is inserted, so cache hits do not allocate.
+	var kb [64]byte
+	fk := appendTapsKey(kb[:0], ch)
 	e.mu.Lock()
 	if e.filtered == nil {
 		e.filtered = make(map[filterKey][][]complex128)
 	}
-	waves, ok := e.filtered[fk]
+	waves, ok := e.filtered[filterKey(fk)]
 	if !ok {
 		if len(e.filtered) >= maxFilteredProfiles {
 			e.mu.Unlock()
 			return ch.Apply(e.ppdus[idx].Samples), nil
 		}
 		waves = make([][]complex128, p.size)
-		e.filtered[fk] = waves
+		e.filtered[filterKey(fk)] = waves
 	}
 	w := waves[idx]
 	e.mu.Unlock()
@@ -193,21 +197,12 @@ func (p *WaveformPool) PickFiltered(r *dsp.Rand, g ofdm.Grid, mcs MCS, ch *chann
 	return w, nil
 }
 
-// tapsKey serialises the channel taps exactly (bit patterns, not rounded
-// text) so distinct channels never collide.
-func tapsKey(ch *channel.Multipath) filterKey {
-	b := make([]byte, 0, 16*len(ch.Taps))
+// appendTapsKey appends the channel taps' exact bit patterns (not rounded
+// text) to b, so distinct channels never collide.
+func appendTapsKey(b []byte, ch *channel.Multipath) []byte {
 	for _, t := range ch.Taps {
-		b = appendFloatBits(b, real(t))
-		b = appendFloatBits(b, imag(t))
-	}
-	return filterKey(b)
-}
-
-func appendFloatBits(b []byte, f float64) []byte {
-	u := math.Float64bits(f)
-	for s := 0; s < 64; s += 8 {
-		b = append(b, byte(u>>s))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(real(t)))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(imag(t)))
 	}
 	return b
 }

@@ -123,3 +123,26 @@ func TestPickFilteredMatchesApply(t *testing.T) {
 		}
 	}
 }
+
+// TestPickFilteredCacheHitAllocs pins that a cached channel-filtered pick
+// builds its tap key without allocating.
+func TestPickFilteredCacheHitAllocs(t *testing.T) {
+	g := ofdm.Native80211Grid()
+	m, err := MCSByName("QPSK 1/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := channel.Indoor2Tap()
+	p := NewWaveformPool(1, 5)
+	r := dsp.NewRand(1)
+	if _, err := p.PickFiltered(r, g, m, ch); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(50, func() {
+		if _, err := p.PickFiltered(r, g, m, ch); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("cached PickFiltered allocates %v times per call", a)
+	}
+}

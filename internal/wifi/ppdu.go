@@ -2,9 +2,9 @@ package wifi
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/coding"
-	"repro/internal/dsp"
 	"repro/internal/modem"
 	"repro/internal/ofdm"
 )
@@ -64,72 +64,164 @@ func DataAnchorBit(psduLen, nInfo int) int {
 
 // BuildPPDU encodes a PSDU into a complete PPDU waveform.
 func BuildPPDU(cfg TxConfig, psdu []byte) (*PPDU, error) {
-	if err := cfg.Grid.Validate(); err != nil {
-		return nil, err
-	}
-	if len(psdu) < 1 || len(psdu) > MaxPSDULen {
-		return nil, fmt.Errorf("wifi: PSDU length %d outside [1,%d]", len(psdu), MaxPSDULen)
-	}
-	mod, err := ofdm.NewModulator(cfg.Grid)
+	p, err := BuildPPDUInto(nil, cfg, psdu)
 	if err != nil {
 		return nil, err
+	}
+	return &p, nil
+}
+
+// BuildPPDUInto is BuildPPDU writing the waveform into buf: the returned
+// PPDU's Samples is buf[:total] when buf has the capacity (a fresh slice
+// otherwise), and every one of its samples is written, so buf may hold
+// stale data. The encoder's working set — modulator, bin and coded-bit
+// buffers — comes from a pool, so with a large enough buf a steady-state
+// call does not allocate.
+func BuildPPDUInto(buf []complex128, cfg TxConfig, psdu []byte) (PPDU, error) {
+	if err := cfg.Grid.Validate(); err != nil {
+		return PPDU{}, err
+	}
+	if len(psdu) < 1 || len(psdu) > MaxPSDULen {
+		return PPDU{}, fmt.Errorf("wifi: PSDU length %d outside [1,%d]", len(psdu), MaxPSDULen)
+	}
+	s := txPool.Get().(*txScratch)
+	defer txPool.Put(s)
+	mod, err := s.modulator(cfg.Grid)
+	if err != nil {
+		return PPDU{}, err
 	}
 	gain := cfg.Gain
 	if gain == 0 {
 		gain = mod.GainForUnitPower(52)
 	}
 
-	p := &PPDU{Cfg: cfg, PSDULen: len(psdu)}
+	p := PPDU{Cfg: cfg, PSDULen: len(psdu)}
 	p.NumDataSymbols = cfg.MCS.SymbolsForPSDU(len(psdu))
 	p.PreambleLen = ofdm.PreambleLen(cfg.Grid)
 	p.SignalStart = p.PreambleLen
 	p.DataStart = p.SignalStart + cfg.Grid.SymLen()
 
-	total := p.DataStart + p.NumDataSymbols*cfg.Grid.SymLen()
-	p.Samples = make([]complex128, total)
 	symLen := cfg.Grid.SymLen()
-
-	// Preamble: scale the cached waveform directly into place.
-	gc := complex(gain, 0)
-	for i, v := range ofdm.Preamble(mod) {
-		p.Samples[i] = v * gc
+	total := p.DataStart + p.NumDataSymbols*symLen
+	if cap(buf) < total {
+		buf = make([]complex128, total)
 	}
+	p.Samples = buf[:total]
+
+	ofdm.PreambleInto(p.Samples[:p.PreambleLen], mod, gain)
 
 	// SIGNAL symbol: BPSK, pilot polarity p₀.
-	sigBits, err := EncodeSignalSymbolBits(cfg.MCS, len(psdu))
-	if err != nil {
-		return nil, err
+	putSignalBits(s.sig[:], cfg.MCS, len(psdu))
+	s.coded = coding.AppendConvEncode(s.coded[:0], s.sig[:])
+	signalInterleaver.InterleaveInto(s.blk[:48], s.coded)
+	if len(s.bins) != cfg.Grid.NFFT {
+		s.bins = make([]complex128, cfg.Grid.NFFT)
 	}
-	bins := make([]complex128, cfg.Grid.NFFT)
-	bpsk := modem.New(modem.BPSK)
-	assembleSymbolInto(p.Samples[p.SignalStart:p.SignalStart+symLen], bins, mod, bpsk, sigBits, 0, gain)
+	assembleSymbolInto(p.Samples[p.SignalStart:p.SignalStart+symLen], s.bins, mod, s.constellation(modem.BPSK), s.blk[:48], 0, gain)
 
-	// DATA field bit pipeline (§18.3.5.4-7).
+	// DATA field bit pipeline (§18.3.5.4-7): SERVICE(16 zeros) + PSDU +
+	// tail + pad.
 	nBits := p.NumDataSymbols * cfg.MCS.Ndbps
-	bits := make([]byte, nBits) // SERVICE(16 zeros) + PSDU + tail + pad
-	copy(bits[16:], coding.BytesToBits(psdu))
+	bits := append(s.bits[:0], make([]byte, 16)...)
+	bits = coding.AppendBits(bits, psdu)
+	bits = append(bits, make([]byte, nBits-len(bits))...)
+	s.bits = bits
 	tailPos := 16 + 8*len(psdu)
 	coding.NewScrambler(cfg.ScramblerSeed).Apply(bits)
 	for i := 0; i < 6; i++ { // tail bits are forced to zero after scrambling
 		bits[tailPos+i] = 0
 	}
-	coded := coding.Puncture(coding.ConvEncode(bits), cfg.MCS.Rate)
-	il := coding.MustInterleaver(cfg.MCS.Ncbps, cfg.MCS.Nbpsc)
-	cons := modem.New(cfg.MCS.Scheme)
+	s.coded = coding.AppendConvEncode(s.coded[:0], bits)
+	s.punct = coding.AppendPuncture(s.punct[:0], s.coded, cfg.MCS.Rate)
+	coded := s.punct
+	il, err := s.interleaver(cfg.MCS)
+	if err != nil {
+		return PPDU{}, err
+	}
+	cons := s.constellation(cfg.MCS.Scheme)
 
-	blk := make([]byte, cfg.MCS.Ncbps)
+	ncbps := cfg.MCS.Ncbps
+	if len(s.blk) < ncbps {
+		s.blk = make([]byte, ncbps)
+	}
+	blk := s.blk[:ncbps]
 	for k := 0; k < p.NumDataSymbols; k++ {
-		il.InterleaveInto(blk, coded[k*cfg.MCS.Ncbps:(k+1)*cfg.MCS.Ncbps])
+		il.InterleaveInto(blk, coded[k*ncbps:(k+1)*ncbps])
 		start := p.DataStart + k*symLen
-		assembleSymbolInto(p.Samples[start:start+symLen], bins, mod, cons, blk, k+1, gain)
+		assembleSymbolInto(p.Samples[start:start+symLen], s.bins, mod, cons, blk, k+1, gain)
 	}
 	return p, nil
 }
 
+// txScratch is BuildPPDUInto's working set, pooled so steady-state
+// encoding reuses it. The modulator, constellation and interleaver caches
+// hold the few grids and MCSs a scenario alternates between.
+type txScratch struct {
+	mods  []*ofdm.Modulator
+	cons  [modem.QAM256 + 1]*modem.Constellation
+	ils   []mcsInterleaver
+	bins  []complex128
+	sig   [24]byte
+	bits  []byte
+	coded []byte
+	punct []byte
+	blk   []byte
+}
+
+var txPool = sync.Pool{New: func() any { return &txScratch{blk: make([]byte, 48)} }}
+
+// maxScratchGrids bounds txScratch's modulator cache; a sweep over many
+// layouts restarts it rather than growing it without limit.
+const maxScratchGrids = 8
+
+func (s *txScratch) modulator(g ofdm.Grid) (*ofdm.Modulator, error) {
+	for _, m := range s.mods {
+		if m.Grid() == g {
+			return m, nil
+		}
+	}
+	m, err := ofdm.NewModulator(g)
+	if err != nil {
+		return nil, err
+	}
+	if len(s.mods) == maxScratchGrids {
+		s.mods = s.mods[:0]
+	}
+	s.mods = append(s.mods, m)
+	return m, nil
+}
+
+func (s *txScratch) constellation(sc modem.Scheme) *modem.Constellation {
+	if s.cons[sc] == nil {
+		s.cons[sc] = modem.New(sc)
+	}
+	return s.cons[sc]
+}
+
+// mcsInterleaver is one cached interleaver with the block shape it serves.
+type mcsInterleaver struct {
+	ncbps, nbpsc int
+	il           *coding.Interleaver
+}
+
+func (s *txScratch) interleaver(m MCS) (*coding.Interleaver, error) {
+	for _, c := range s.ils {
+		if c.ncbps == m.Ncbps && c.nbpsc == m.Nbpsc {
+			return c.il, nil
+		}
+	}
+	il, err := coding.NewInterleaver(m.Ncbps, m.Nbpsc)
+	if err != nil {
+		return nil, err
+	}
+	s.ils = append(s.ils, mcsInterleaver{m.Ncbps, m.Nbpsc, il})
+	return il, nil
+}
+
 // assembleSymbolInto maps one symbol's interleaved coded bits onto the 48
 // data subcarriers, adds the four pilots for symbol counter n, modulates
-// and scales, writing the SymLen samples into out. bins is caller scratch
-// of length NFFT.
+// and scales by gain, writing the SymLen samples into out. bins is caller
+// scratch of length NFFT.
 func assembleSymbolInto(out, bins []complex128, mod *ofdm.Modulator, cons *modem.Constellation, bits []byte, n int, gain float64) {
 	scs := ofdm.DataSubcarriers()
 	nb := cons.BitsPerSymbol()
@@ -146,8 +238,7 @@ func assembleSymbolInto(out, bins []complex128, mod *ofdm.Modulator, cons *modem
 	for i, sc := range scs {
 		bins[g.Bin(sc)] = cons.Map(bits[i*nb : (i+1)*nb])
 	}
-	mod.SymbolFromBinsInto(out, bins)
-	dsp.Scale(out, gain)
+	mod.SymbolFromBinsInto(out, bins, gain)
 }
 
 // SymbolBitsToSubcarriers returns, for a constellation, the subcarrier order

@@ -21,6 +21,14 @@ func EncodeSignalBits(m MCS, psduLen int) ([]byte, error) {
 		return nil, fmt.Errorf("wifi: PSDU length %d outside [1,%d]", psduLen, MaxPSDULen)
 	}
 	bits := make([]byte, 24)
+	putSignalBits(bits, m, psduLen)
+	return bits, nil
+}
+
+// putSignalBits writes the 24 SIGNAL bits for a validated PSDU length into
+// bits (length 24), overwriting every position.
+func putSignalBits(bits []byte, m MCS, psduLen int) {
+	clear(bits)
 	for i := 0; i < 4; i++ { // RATE, R1 transmitted first = MSB of RateBits
 		bits[i] = (m.RateBits >> (3 - i)) & 1
 	}
@@ -34,7 +42,6 @@ func EncodeSignalBits(m MCS, psduLen int) ([]byte, error) {
 	}
 	bits[17] = parity
 	// bits[18:24] tail = 0
-	return bits, nil
 }
 
 // DecodeSignalBits parses 24 decoded SIGNAL bits, validating parity and the

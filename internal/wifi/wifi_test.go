@@ -2,6 +2,7 @@ package wifi
 
 import (
 	"bytes"
+	"math"
 	"math/cmplx"
 	"testing"
 	"testing/quick"
@@ -330,6 +331,44 @@ func BenchmarkBuildPPDU400B(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildPPDU(cfg, psdu); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestBuildPPDUIntoDirtyBuffer pins that BuildPPDUInto writes every sample
+// of its buffer: one pre-filled with NaN (which compares unequal to
+// everything) must come back equal to a fresh BuildPPDU, with the same
+// layout, across MCSs and grids and for a buffer reused at a shorter
+// length.
+func TestBuildPPDUIntoDirtyBuffer(t *testing.T) {
+	nan := complex(math.NaN(), math.NaN())
+	buf := make([]complex128, 40000)
+	for _, g := range []ofdm.Grid{ofdm.Native80211Grid(), ofdm.WideGrid(64, 16, 4, 64)} {
+		for _, m := range StandardMCS() {
+			for _, n := range []int{300, 40} {
+				cfg := TxConfig{Grid: g, MCS: m, ScramblerSeed: uint8(n)}
+				psdu := BuildPSDU(dsp.NewRand(int64(n)).Bytes(n))
+				want := mustPPDU(t, cfg, psdu)
+				for i := range buf {
+					buf[i] = nan
+				}
+				got, err := BuildPPDUInto(buf, cfg, psdu)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if &got.Samples[0] != &buf[0] {
+					t.Fatalf("%s: BuildPPDUInto did not reuse a large enough buffer", m.Name)
+				}
+				if len(got.Samples) != len(want.Samples) || got.DataStart != want.DataStart || got.NumDataSymbols != want.NumDataSymbols {
+					t.Fatalf("%s: layout %d/%d/%d, want %d/%d/%d", m.Name, len(got.Samples), got.DataStart, got.NumDataSymbols,
+						len(want.Samples), want.DataStart, want.NumDataSymbols)
+				}
+				for i, v := range want.Samples {
+					if got.Samples[i] != v {
+						t.Fatalf("%s grid %+v psdu %d: sample %d = %v, want %v", m.Name, g, n, i, got.Samples[i], v)
+					}
+				}
+			}
 		}
 	}
 }
