@@ -97,10 +97,7 @@ func (p *FFTPlan) ForwardPlanar(x Planar) {
 
 // InversePlanar is Inverse on planar data, including the 1/N scaling.
 func (p *FFTPlan) InversePlanar(x Planar) {
-	if x.Len() != p.n {
-		panic(fmt.Sprintf("dsp: InversePlanar length %d, plan size %d", x.Len(), p.n))
-	}
-	p.transformPlanar(x.Re, x.Im, false)
+	p.InversePlanarUnscaled(x)
 	x.Scale(1 / float64(p.n))
 }
 

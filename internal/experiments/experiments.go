@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/channel"
-	"repro/internal/coding"
 	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/interference"
@@ -361,7 +360,8 @@ func (p *PSRPlan) RunPacket(pkt int, ok []bool) error {
 	pb := packetPool.Get().(*packetBuf)
 	defer packetPool.Put(pb)
 	r := pb.rand(cfg.Seed*1_000_003 + int64(pkt))
-	psdu := pb.psduFrom(r, cfg.PSDUBytes)
+	pb.psdu = slices.Grow(pb.psdu[:0], cfg.PSDUBytes)[:cfg.PSDUBytes]
+	psdu := wifi.DrawPSDUInto(pb.psdu, r)
 	c := &pb.c
 	err := cfg.Scenario.RunInto(c, r, psdu, cfg.MCS)
 	stageTx.ObserveSince(pktStart)
@@ -480,15 +480,6 @@ func (b *packetBuf) rand(seed int64) *dsp.Rand {
 		b.r.Seed(seed)
 	}
 	return b.r
-}
-
-// psduFrom draws an n-byte victim PSDU (payload plus FCS) from r into the
-// buffer, consuming r exactly like wifi.BuildPSDU(r.Bytes(n-4)).
-func (b *packetBuf) psduFrom(r *dsp.Rand, n int) []byte {
-	b.psdu = slices.Grow(b.psdu[:0], n)[:n]
-	r.Read(b.psdu[:n-4])
-	coding.PutFCS(b.psdu)
-	return b.psdu
 }
 
 // ACIScenario builds the canonical single adjacent-channel-interferer

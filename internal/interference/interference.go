@@ -30,7 +30,6 @@ import (
 	"sync"
 
 	"repro/internal/channel"
-	"repro/internal/coding"
 	"repro/internal/dsp"
 	"repro/internal/ofdm"
 	"repro/internal/wifi"
@@ -300,12 +299,7 @@ func (s *Scenario) interfererWave(r *dsp.Rand, i int, out []complex128, victimDa
 func (s *Scenario) freshTiles(r *dsp.Rand, itf Interferer, g ofdm.Grid, mcs wifi.MCS, out []complex128, victimDataStart, boundary int, sc *synthScratch) error {
 	symLen := g.SymLen()
 	cfg := wifi.TxConfig{Grid: g, MCS: mcs, ScramblerSeed: uint8(1 + r.Intn(127))}
-	payload := sc.psdu[:]
-	drawPayload := func() {
-		r.Read(payload[:freshPayloadBytes])
-		coding.PutFCS(payload)
-	}
-	drawPayload()
+	payload := wifi.DrawPSDUInto(sc.psdu[:], r)
 	ppduLen := wifi.PPDULen(g, mcs, len(payload))
 	// Choose the first tile position ≡ victimDataStart+boundary (mod symLen)
 	// and at or before sample 0.
@@ -322,7 +316,7 @@ func (s *Scenario) freshTiles(r *dsp.Rand, itf Interferer, g ofdm.Grid, mcs wifi
 			dsp.AddInto(out, ppdu.Samples, pos)
 		}
 		// Fresh payload for the next tile.
-		drawPayload()
+		wifi.DrawPSDUInto(payload, r)
 	}
 	return nil
 }

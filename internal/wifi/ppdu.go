@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/coding"
+	"repro/internal/dsp"
 	"repro/internal/modem"
 	"repro/internal/ofdm"
 )
@@ -47,6 +48,15 @@ func (p *PPDU) DataSymbolStart(k int) int {
 // BuildPSDU appends the CRC-32 FCS to a payload, forming the PSDU whose
 // success/failure defines the paper's packet success rate.
 func BuildPSDU(payload []byte) []byte { return coding.AppendFCS(payload) }
+
+// DrawPSDUInto fills dst with a random PSDU of len(dst) octets: a payload
+// of len(dst)-4 octets read from r, then its FCS. It consumes r exactly
+// like BuildPSDU(r.Bytes(len(dst)-4)) and returns dst.
+func DrawPSDUInto(dst []byte, r *dsp.Rand) []byte {
+	r.Read(dst[:len(dst)-4])
+	coding.PutFCS(dst)
+	return dst
+}
 
 // DataAnchorBit returns the information-bit position at which the DATA
 // field's convolutional encoder register is back in the all-zero state:
@@ -111,13 +121,11 @@ func BuildPPDUInto(buf []complex128, cfg TxConfig, psdu []byte) (PPDU, error) {
 	ofdm.PreambleInto(p.Samples[:p.PreambleLen], mod, gain)
 
 	// SIGNAL symbol: BPSK, pilot polarity p₀.
-	putSignalBits(s.sig[:], cfg.MCS, len(psdu))
-	s.coded = coding.AppendConvEncode(s.coded[:0], s.sig[:])
-	signalInterleaver.InterleaveInto(s.blk[:48], s.coded)
+	s.coded = encodeSignalSymbolInto(s.blk[:48], s.coded, cfg.MCS, len(psdu))
 	if len(s.bins) != cfg.Grid.NFFT {
 		s.bins = make([]complex128, cfg.Grid.NFFT)
 	}
-	assembleSymbolInto(p.Samples[p.SignalStart:p.SignalStart+symLen], s.bins, mod, s.constellation(modem.BPSK), s.blk[:48], 0, gain)
+	assembleSymbolInto(p.Samples[p.SignalStart:p.SignalStart+symLen], s.bins, mod, constellations[modem.BPSK](), s.blk[:48], 0, gain)
 
 	// DATA field bit pipeline (§18.3.5.4-7): SERVICE(16 zeros) + PSDU +
 	// tail + pad.
@@ -134,11 +142,11 @@ func BuildPPDUInto(buf []complex128, cfg TxConfig, psdu []byte) (PPDU, error) {
 	s.coded = coding.AppendConvEncode(s.coded[:0], bits)
 	s.punct = coding.AppendPuncture(s.punct[:0], s.coded, cfg.MCS.Rate)
 	coded := s.punct
-	il, err := s.interleaver(cfg.MCS)
+	il, err := dataInterleaver(cfg.MCS)
 	if err != nil {
 		return PPDU{}, err
 	}
-	cons := s.constellation(cfg.MCS.Scheme)
+	cons := constellations[cfg.MCS.Scheme]()
 
 	ncbps := cfg.MCS.Ncbps
 	if len(s.blk) < ncbps {
@@ -154,14 +162,11 @@ func BuildPPDUInto(buf []complex128, cfg TxConfig, psdu []byte) (PPDU, error) {
 }
 
 // txScratch is BuildPPDUInto's working set, pooled so steady-state
-// encoding reuses it. The modulator, constellation and interleaver caches
-// hold the few grids and MCSs a scenario alternates between.
+// encoding reuses it. The modulator cache holds the few grids a scenario
+// alternates between.
 type txScratch struct {
 	mods  []*ofdm.Modulator
-	cons  [modem.QAM256 + 1]*modem.Constellation
-	ils   []mcsInterleaver
 	bins  []complex128
-	sig   [24]byte
 	bits  []byte
 	coded []byte
 	punct []byte
@@ -191,31 +196,33 @@ func (s *txScratch) modulator(g ofdm.Grid) (*ofdm.Modulator, error) {
 	return m, nil
 }
 
-func (s *txScratch) constellation(sc modem.Scheme) *modem.Constellation {
-	if s.cons[sc] == nil {
-		s.cons[sc] = modem.New(sc)
+// constellations holds one constellation per scheme and mcsInterleavers
+// the DATA-field interleaver of each standardMCS entry, shared by every
+// encoder since both are immutable once built. Each is built on first use,
+// so only the rates a program transmits stay on the heap.
+var (
+	constellations  [modem.QAM256 + 1]func() *modem.Constellation
+	mcsInterleavers [len(standardMCS)]func() *coding.Interleaver
+)
+
+func init() {
+	for sc := range constellations {
+		constellations[sc] = sync.OnceValue(func() *modem.Constellation { return modem.New(modem.Scheme(sc)) })
 	}
-	return s.cons[sc]
+	for i, m := range standardMCS {
+		mcsInterleavers[i] = sync.OnceValue(func() *coding.Interleaver { return coding.MustInterleaver(m.Ncbps, m.Nbpsc) })
+	}
 }
 
-// mcsInterleaver is one cached interleaver with the block shape it serves.
-type mcsInterleaver struct {
-	ncbps, nbpsc int
-	il           *coding.Interleaver
-}
-
-func (s *txScratch) interleaver(m MCS) (*coding.Interleaver, error) {
-	for _, c := range s.ils {
-		if c.ncbps == m.Ncbps && c.nbpsc == m.Nbpsc {
-			return c.il, nil
+// dataInterleaver returns the DATA-field interleaver for m's block shape:
+// the shared one for a standard shape, a fresh one otherwise.
+func dataInterleaver(m MCS) (*coding.Interleaver, error) {
+	for i, sm := range standardMCS {
+		if sm.Ncbps == m.Ncbps && sm.Nbpsc == m.Nbpsc {
+			return mcsInterleavers[i](), nil
 		}
 	}
-	il, err := coding.NewInterleaver(m.Ncbps, m.Nbpsc)
-	if err != nil {
-		return nil, err
-	}
-	s.ils = append(s.ils, mcsInterleaver{m.Ncbps, m.Nbpsc, il})
-	return il, nil
+	return coding.NewInterleaver(m.Ncbps, m.Nbpsc)
 }
 
 // assembleSymbolInto maps one symbol's interleaved coded bits onto the 48

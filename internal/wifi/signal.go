@@ -81,11 +81,23 @@ var signalInterleaver = coding.MustInterleaver(48, 1)
 // EncodeSignalSymbolBits convolutionally encodes and interleaves the 24
 // SIGNAL bits into the 48 coded bits of the SIGNAL OFDM symbol.
 func EncodeSignalSymbolBits(m MCS, psduLen int) ([]byte, error) {
-	bits, err := EncodeSignalBits(m, psduLen)
-	if err != nil {
-		return nil, err
+	if psduLen < 1 || psduLen > MaxPSDULen {
+		return nil, fmt.Errorf("wifi: PSDU length %d outside [1,%d]", psduLen, MaxPSDULen)
 	}
-	return signalInterleaver.Interleave(coding.ConvEncode(bits)), nil
+	out := make([]byte, 48)
+	encodeSignalSymbolInto(out, nil, m, psduLen)
+	return out, nil
+}
+
+// encodeSignalSymbolInto is EncodeSignalSymbolBits for a validated PSDU
+// length, writing the 48 coded bits into dst. coded is scratch for the
+// rate-1/2 encoding; the grown scratch is returned for reuse.
+func encodeSignalSymbolInto(dst, coded []byte, m MCS, psduLen int) []byte {
+	var bits [24]byte
+	putSignalBits(bits[:], m, psduLen)
+	coded = coding.AppendConvEncode(coded[:0], bits[:])
+	signalInterleaver.InterleaveInto(dst, coded)
+	return coded
 }
 
 // DecodeSignalSymbolLLRs deinterleaves and Viterbi-decodes the 48 coded

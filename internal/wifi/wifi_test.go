@@ -143,6 +143,25 @@ func TestBuildPSDUHasValidFCS(t *testing.T) {
 	}
 }
 
+// TestDrawPSDUIntoMatchesBuildPSDU pins DrawPSDUInto to BuildPSDU over a
+// random payload, including what it leaves of the RNG stream, and checks
+// that it overwrites every octet of a dirty buffer.
+func TestDrawPSDUIntoMatchesBuildPSDU(t *testing.T) {
+	for _, n := range []int{5, 100, 400} {
+		want := BuildPSDU(dsp.NewRand(7).Bytes(n - 4))
+		r := dsp.NewRand(7)
+		dst := bytes.Repeat([]byte{0xAA}, n)
+		if got := DrawPSDUInto(dst, r); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: DrawPSDUInto differs from BuildPSDU", n)
+		}
+		ref := dsp.NewRand(7)
+		ref.Bytes(n - 4)
+		if r.Int63() != ref.Int63() {
+			t.Fatalf("n=%d: DrawPSDUInto left the RNG at a different point", n)
+		}
+	}
+}
+
 func mustPPDU(t *testing.T, cfg TxConfig, psdu []byte) *PPDU {
 	t.Helper()
 	p, err := BuildPPDU(cfg, psdu)
