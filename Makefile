@@ -29,10 +29,11 @@ test-purego:
 # caches they exercise), the shared job event log and SSE writer that
 # serve concurrent subscribers in both tiers (internal/api and the
 # cprecycle-bench HTTP surface), the intra-packet parallel symbol decode
-# in rx (hard and soft), the dsp kernel dispatch (shared
-# SlideTab/FFT-plan caches + the ForceScalar toggle), the Viterbi
-# decoder's pooled survivor and int8 scratch that the parallel decoders
-# share, and the pooled transmit scratch (composites, interferer streams,
+# in rx (hard and soft, with the pooled soft-decode scratch), the dsp
+# kernel dispatch (shared SlideTab/FFT-plan caches + the ForceScalar
+# toggle), the Viterbi decoder's pooled survivor, int8 and float64
+# scratch that the parallel decoders share, the shared constellations
+# built on first use, and the pooled transmit scratch (composites, interferer streams,
 # modulators) that concurrent RunPacket calls share through
 # internal/experiments, internal/interference, internal/wifi and
 # internal/ofdm, with the modem's candidate sort on the decision path.
@@ -58,13 +59,14 @@ bench:
 
 # Hot-path micro-benchmarks with allocation reporting: segment
 # demodulation (old FFT-per-window vs sliding-DFT batch), multi-segment
-# observation, Viterbi (float decode, and the hard decode at the
-# aci-fresh packet size with its ForceScalar twin), sliding kernels, and
-# at packet size one Fig 8 ACI synthesis (Scenario.Run) and one whole
-# aci-fresh packet (PSRPlan.RunPacket).
+# observation, Viterbi (float decode; the hard decode at the aci-fresh
+# packet size and the soft decode at the aci-pooled-soft size, each with
+# its ForceScalar twin), sliding kernels, and at packet size one Fig 8
+# ACI synthesis (Scenario.Run) and one whole aci-fresh and
+# aci-pooled-soft packet (PSRPlan.RunPacket).
 bench-hotpath:
 	$(GO) test -bench 'BenchmarkScenarioRunACI' -benchtime 200x -benchmem -run '^$$' ./internal/interference/
-	$(GO) test -bench 'BenchmarkRunPacketACI' -benchtime 200x -benchmem -run '^$$' ./internal/experiments/
+	$(GO) test -bench 'BenchmarkRunPacketACI|BenchmarkRunPacketSoft' -benchtime 200x -benchmem -run '^$$' ./internal/experiments/
 	$(GO) test -bench 'BenchmarkSegment' -benchtime 2000x -run '^$$' ./internal/ofdm/
 	$(GO) test -bench 'BenchmarkObserve' -benchtime 2000x -run '^$$' ./internal/rx/
 	$(GO) test -bench 'BenchmarkViterbiDecode' -benchtime 500x -run '^$$' ./internal/coding/
@@ -78,18 +80,20 @@ bench-hotpath:
 # trajectory or trip the regression gate; the store suite runs -count=6
 # because its Put benchmarks are filesystem-bound and need more samples
 # for a stable minimum. The coding suite times the float decode
-# (BenchmarkViterbiDecode, gated against BENCH_PR8) and the integer hard
-# decode with its ForceScalar twin (BenchmarkViterbiDecodeHard*). The
-# dsp suite includes the
+# (BenchmarkViterbiDecode, gated against BENCH_PR8), the integer hard
+# decode with its ForceScalar twin (BenchmarkViterbiDecodeHard*) and the
+# soft decode on the AVX2 float kernel with its ForceScalar twin
+# (BenchmarkViterbiDecodeSoft*). The dsp suite includes the
 # SIMD kernel benchmarks (BenchmarkPlanar*) and their ForceScalar twins;
 # the obs suite pins the metrics layer at 0 allocs per hot-path update;
 # the store suite covers the result store's encode/decode/lookup path;
 # the interference and experiments suites time one packet's synthesis
-# and one whole packet at the aci-fresh Fig 8 point.
+# and one whole packet at the aci-fresh Fig 8 point, and one whole soft
+# packet at the aci-pooled-soft -10 dB point.
 bench-json:
 	set -e; tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) test -bench 'BenchmarkScenarioRunACI' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/interference/ >> "$$tmp"; \
-	$(GO) test -bench 'BenchmarkRunPacketACI' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/experiments/ >> "$$tmp"; \
+	$(GO) test -bench 'BenchmarkRunPacketACI|BenchmarkRunPacketSoft' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/experiments/ >> "$$tmp"; \
 	$(GO) test -bench 'BenchmarkObserve' -benchtime 2000x -count 3 -benchmem -run '^$$' ./internal/rx/ >> "$$tmp"; \
 	$(GO) test -bench 'BenchmarkSegment' -benchtime 2000x -count 3 -benchmem -run '^$$' ./internal/ofdm/ >> "$$tmp"; \
 	$(GO) test -bench 'BenchmarkViterbiDecode' -benchtime 500x -count 3 -benchmem -run '^$$' ./internal/coding/ >> "$$tmp"; \

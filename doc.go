@@ -42,9 +42,11 @@
 // stores one packed uint64 of survivor bits per trellis step in a pooled
 // flat array, ≈262 KB for the longest PSDU, so no traceback window is
 // needed. Hard-decision arms decode on integer path metrics, bit-identical
-// to the float decoder because hard LLRs are ±1 with 0 erasures, with an
-// AVX2 add-compare-select kernel under the same dispatch and ForceScalar
-// switch as the dsp kernels.
+// to the float decoder because hard LLRs are ±1 with 0 erasures; soft
+// arms decode on float64 path metrics. Each has an AVX2
+// add-compare-select kernel, bit-identical to its scalar loop, under the
+// same dispatch and ForceScalar switch as the dsp kernels, and the soft
+// decode's LLR streams come from pools as the hard decode's do.
 //
 // Within one packet, rx.DecodeDataParallel fans the per-symbol decisions
 // across a bounded worker pool — each worker on its own Frame.ScratchFork

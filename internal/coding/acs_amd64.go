@@ -44,3 +44,28 @@ func acsHardSIMD(metric *[numStates]int16, llr []int8, surv []uint64) bool {
 	acsHardAVX2(metric, &llr[0], &surv[0], &hardCostTab, len(surv))
 	return true
 }
+
+// acsFloatAVX2 is the AVX2 float64 forward pass (acs_amd64.s): n steps of
+// forwardFloat's recursion from the metrics in cur, ping-ponging with
+// next (after an odd n the final metrics are in next), writing one
+// survivor word per step to surv. Every lane does the scalar loop's adds
+// and comparison on the same operands, so survivors and metrics equal
+// forwardFloat's bit for bit.
+//
+//go:noescape
+func acsFloatAVX2(cur, next *[numStates]float64, llr *float64, surv *uint64, n int)
+
+// forwardFloatSIMD runs forwardFloat on the AVX2 kernel when internal/dsp
+// has detected AVX2 and ForceScalar is off, returning the best final
+// state and whether it ran.
+func forwardFloatSIMD(llrs []float64, surv []uint64) (int, bool) {
+	if len(surv) == 0 || dsp.SIMDName() != "avx2" {
+		return 0, false
+	}
+	metricA, metricB := floatStart(), [numStates]float64{}
+	acsFloatAVX2(&metricA, &metricB, &llrs[0], &surv[0], len(surv))
+	if len(surv)%2 == 1 {
+		return bestState(&metricB), true
+	}
+	return bestState(&metricA), true
+}

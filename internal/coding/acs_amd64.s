@@ -109,3 +109,100 @@ acsDone:
 	VMOVDQU Y3, 96(DI)
 	VZEROUPPER
 	RET
+
+// ACS_FLOAT_GROUP computes destination states 4g…4g+3 (input 0) and
+// 4g+32…4g+35 (input 1) from the eight metrics of states 8g…8g+7, which
+// start at byte offset src (and src+32) of the current buffer DI:
+//   - E (Y7) = even predecessors 8g, 8g+2, 8g+4, 8g+6 and O (Y8) = odd
+//     ones: VUNPCKLPD/VUNPCKHPD interleave within 128-bit lanes, VPERMPD
+//     $0xD8 puts the four in order;
+//   - P and Q are the even- and odd-predecessor branch costs of states
+//     4g…4g+3; the input-1 states take them swapped;
+//   - c0 = E + cost (Y9) and c1 = O + cost (Y10); VCMPPD predicate 0x16
+//     (NLE_UQ) is !(c0 <= c1), the scalar else branch, NaN included;
+//     VBLENDVPD takes c1 there and VMOVMSKPD turns the same mask into the
+//     survivor bits, ORed into BX at bit lo (input 0) and hi (input 1);
+//   - the new metrics go to byte offsets dlo and dhi of the next buffer
+//     R9.
+#define ACS_FLOAT_GROUP(src, srcb, P, Q, dlo, dhi, lo, hi) \
+	VMOVUPD src(DI), Y5; \
+	VUNPCKLPD srcb(DI), Y5, Y7; \
+	VUNPCKHPD srcb(DI), Y5, Y8; \
+	VPERMPD $0xD8, Y7, Y7; \
+	VPERMPD $0xD8, Y8, Y8; \
+	VADDPD P, Y7, Y9; \
+	VADDPD Q, Y8, Y10; \
+	VCMPPD $0x16, Y10, Y9, Y11; \
+	VBLENDVPD Y11, Y10, Y9, Y12; \
+	VMOVUPD Y12, dlo(R9); \
+	VMOVMSKPD Y11, AX; \
+	SHLQ $lo, AX; \
+	ORQ AX, BX; \
+	VADDPD Q, Y7, Y9; \
+	VADDPD P, Y8, Y10; \
+	VCMPPD $0x16, Y10, Y9, Y11; \
+	VBLENDVPD Y11, Y10, Y9, Y12; \
+	VMOVUPD Y12, dhi(R9); \
+	VMOVMSKPD Y11, AX; \
+	SHLQ $hi, AX; \
+	ORQ AX, BX
+
+// func acsFloatAVX2(cur, next *[64]float64, llr *float64, surv *uint64, n int)
+//
+// Float64 add-compare-select over n trellis steps, forwardFloat's
+// recursion lane for lane. The metrics ping-pong between cur and next
+// (after an odd n the final ones are in next). Each step:
+//   - builds C = [+0, la, lb, la+lb] (Y0): la+lb is one scalar VADDSD, the
+//     add forwardFloat does for cost[3], and +0 is shifted in by VPSLLDQ;
+//   - permutes C into the four branch-cost vectors the butterflies use
+//     (Y1-Y4). Lane j of group g needs cost[outsIn[0][2(4g+j)]] (P) and
+//     cost[outsIn[0][2(4g+j)+1]] (Q); across the eight groups those are
+//     only four VPERMPD selectors, 0x44, 0xBB, 0xEE and 0x11 (derived
+//     from outsIn by TestFloatCostSelectors), so every lane's cost is a
+//     bit copy of C;
+//   - runs the eight groups of ACS_FLOAT_GROUP and stores the survivor
+//     word.
+// Only VADDPD, no FMA, so each c0 and c1 is the scalar sum. Loads and
+// stores are unaligned. R14/R15 and Y15 are avoided (g register and zero
+// register in the Go internal ABI).
+TEXT ·acsFloatAVX2(SB), NOSPLIT, $0-40
+	MOVQ cur+0(FP), DI
+	MOVQ next+8(FP), R9
+	MOVQ llr+16(FP), SI
+	MOVQ surv+24(FP), DX
+	MOVQ n+32(FP), CX
+	TESTQ CX, CX
+	JLE acsFloatDone
+
+acsFloatLoop:
+	VMOVUPD 0(SI), X0        // [la, lb]
+	VPERMILPD $1, X0, X1     // [lb, la]
+	VADDSD X1, X0, X2        // [la+lb, lb]
+	VPERMILPD $1, X2, X2     // [lb, la+lb]
+	VPSLLDQ $8, X0, X3       // [+0, la]
+	VINSERTF128 $1, X2, Y3, Y0
+	VPERMPD $0x44, Y0, Y1
+	VPERMPD $0xBB, Y0, Y2
+	VPERMPD $0xEE, Y0, Y3
+	VPERMPD $0x11, Y0, Y4
+	XORQ BX, BX
+
+	ACS_FLOAT_GROUP(0, 32, Y1, Y2, 0, 256, 0, 32)
+	ACS_FLOAT_GROUP(64, 96, Y2, Y1, 32, 288, 4, 36)
+	ACS_FLOAT_GROUP(128, 160, Y2, Y1, 64, 320, 8, 40)
+	ACS_FLOAT_GROUP(192, 224, Y1, Y2, 96, 352, 12, 44)
+	ACS_FLOAT_GROUP(256, 288, Y3, Y4, 128, 384, 16, 48)
+	ACS_FLOAT_GROUP(320, 352, Y4, Y3, 160, 416, 20, 52)
+	ACS_FLOAT_GROUP(384, 416, Y4, Y3, 192, 448, 24, 56)
+	ACS_FLOAT_GROUP(448, 480, Y3, Y4, 224, 480, 28, 60)
+
+	MOVQ BX, 0(DX)
+	XCHGQ DI, R9
+	ADDQ $16, SI
+	ADDQ $8, DX
+	DECQ CX
+	JNZ acsFloatLoop
+
+acsFloatDone:
+	VZEROUPPER
+	RET

@@ -2,7 +2,9 @@
 
 package coding
 
-// acsHardSIMD always declines here: this build has no integer ACS kernel
-// (purego tag, or an architecture without one — arm64 included), so
-// forwardHard runs the scalar loop.
+// acsHardSIMD and forwardFloatSIMD always decline here: this build has no
+// ACS kernels (purego tag, or an architecture without them — arm64
+// included), so forwardHard and decodeFloat run the scalar loops.
 func acsHardSIMD(metric *[numStates]int16, llr []int8, surv []uint64) bool { return false }
+
+func forwardFloatSIMD(llrs []float64, surv []uint64) (int, bool) { return 0, false }

@@ -125,10 +125,17 @@ func Puncture(coded []byte, r CodeRate) []byte {
 // AppendPuncture appends Puncture(coded, r) to dst and returns the
 // extended slice.
 func AppendPuncture(dst, coded []byte, r CodeRate) []byte {
+	if r == Rate1_2 {
+		return append(dst, coded...)
+	}
 	pat := r.puncturePattern()
-	for i, b := range coded {
-		if pat[i%len(pat)] {
+	p := 0
+	for _, b := range coded {
+		if pat[p] {
 			dst = append(dst, b)
+		}
+		if p++; p == len(pat) {
+			p = 0
 		}
 	}
 	return dst
@@ -138,22 +145,36 @@ func AppendPuncture(dst, coded []byte, r CodeRate) []byte {
 // inserting 0 (erasure) where bits were dropped. motherLen is the expected
 // output length (2 × number of information bits).
 func Depuncture(llrs []float64, r CodeRate, motherLen int) ([]float64, error) {
-	pat := r.puncturePattern()
 	out := make([]float64, motherLen)
-	j := 0
-	for i := 0; i < motherLen; i++ {
-		if pat[i%len(pat)] {
+	if err := depunctureInto(out, llrs, r); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// depunctureInto is Depuncture writing all len(out) mother-code
+// positions into out.
+func depunctureInto(out, llrs []float64, r CodeRate) error {
+	pat := r.puncturePattern()
+	j, p := 0, 0
+	for i := range out {
+		if pat[p] {
 			if j >= len(llrs) {
-				return nil, fmt.Errorf("coding: depuncture needs %d llrs, have %d", j+1, len(llrs))
+				return fmt.Errorf("coding: depuncture needs %d llrs, have %d", j+1, len(llrs))
 			}
 			out[i] = llrs[j]
 			j++
+		} else {
+			out[i] = 0
+		}
+		if p++; p == len(pat) {
+			p = 0
 		}
 	}
 	if j != len(llrs) {
-		return nil, fmt.Errorf("coding: depuncture consumed %d of %d llrs", j, len(llrs))
+		return fmt.Errorf("coding: depuncture consumed %d of %d llrs", j, len(llrs))
 	}
-	return out, nil
+	return nil
 }
 
 // PuncturedLen returns the number of transmitted coded bits for nInfo

@@ -65,10 +65,11 @@ var outsIn = func() (t [2][numStates]byte) {
 // convolutional code. Decode and DecodeAnchored consume per-bit
 // log-likelihood ratios (positive = bit 0 more likely; 0 = erasure, as
 // produced by Depuncture) on float64 path metrics, so one implementation
-// serves soft decisions and any hard ones given as ±1 LLRs.
-// DecodeHardPuncturedAnchored decodes hard bits directly on integer path
-// metrics with bit-identical output (see its comment for why that is
-// exact).
+// serves soft decisions and any hard ones given as ±1 LLRs; its forward
+// pass runs an AVX2 kernel where internal/dsp reports AVX2, with output
+// identical to the scalar loop's. DecodeHardPuncturedAnchored decodes
+// hard bits directly on integer path metrics with bit-identical output
+// (see its comment for why that is exact).
 //
 // The decoder assumes the encoder started in the all-zero state and, when
 // Terminated is set, that six zero tail bits returned it there. Decoding
@@ -128,8 +129,11 @@ func (v *Viterbi) DecodeAnchored(llrs []float64, anchorBit int) ([]byte, error) 
 	return decodeFloat(llrs, anchorBit), nil
 }
 
-// decodeFloat runs the float64 forward pass over len(llrs)/2 steps and
-// traces back with the zero-state anchor at anchor (see traceAnchored).
+// decodeFloat runs the float64 forward pass over len(llrs)/2 steps — the
+// AVX2 kernel when internal/dsp reports AVX2 and ForceScalar is off,
+// forwardFloat otherwise (purego builds and other architectures included)
+// — and traces back with the zero-state anchor at anchor (see
+// traceAnchored).
 func decodeFloat(llrs []float64, anchor int) []byte {
 	n := len(llrs) / 2
 	if n == 0 {
@@ -138,12 +142,26 @@ func decodeFloat(llrs []float64, anchor int) []byte {
 	dp := getDecisions(n)
 	defer putDecisions(dp)
 	surv := *dp
-	return traceAnchored(surv, forwardFloat(llrs, surv), anchor)
+	final, ok := forwardFloatSIMD(llrs, surv)
+	if !ok {
+		final = forwardFloat(llrs, surv)
+	}
+	return traceAnchored(surv, final, anchor)
+}
+
+// floatStart returns the float path metrics before the first step: 0 for
+// the all-zero start state and a large finite "infinity" for the others.
+func floatStart() (m [numStates]float64) {
+	for s := 1; s < numStates; s++ {
+		m[s] = math.MaxFloat64 / 4
+	}
+	return m
 }
 
 // forwardFloat runs the add-compare-select recursion on float64 path
 // metrics, filling one survivor word per step, and returns the best final
-// state.
+// state. It is the reference for the AVX2 kernel (acsFloatAVX2) and the
+// fallback wherever that does not run.
 //
 // The loop iterates over destination-state butterflies: states k and
 // k+32 share the predecessors 2k and 2k+1, so each pair of metrics is
@@ -152,12 +170,8 @@ func decodeFloat(llrs []float64, anchor int) []byte {
 // the per-source-state textbook formulation, so decoded output is bit for
 // bit the textbook decoder's.
 func forwardFloat(llrs []float64, surv []uint64) int {
-	const inf = math.MaxFloat64 / 4
-	var metricA, metricB [numStates]float64
+	metricA, metricB := floatStart(), [numStates]float64{}
 	metric, next := &metricA, &metricB
-	for s := 1; s < numStates; s++ {
-		metric[s] = inf
-	}
 	// Per-step branch costs indexed by the branch output pair outA|outB<<1:
 	// cost[o] = (la if o&1) + (lb if o&2). For o = 3 the two LLRs are
 	// summed before the path metric is added, and every consumer of these
@@ -223,14 +237,37 @@ func traceback(surv []uint64, bits []byte, lo, hi, state int) {
 	}
 }
 
+// float64Pool recycles the depunctured mother-code LLR streams between
+// soft decodes, boxed like decisionsPool.
+var float64Pool sync.Pool
+
+// depuncturePooled is Depuncture into a buffer from float64Pool; return
+// the box there once the stream has been decoded.
+func depuncturePooled(llrs []float64, r CodeRate, motherLen int) (*[]float64, error) {
+	bp, _ := float64Pool.Get().(*[]float64)
+	if bp == nil || cap(*bp) < motherLen {
+		buf := make([]float64, motherLen)
+		bp = &buf
+	}
+	*bp = (*bp)[:motherLen]
+	if err := depunctureInto(*bp, llrs, r); err != nil {
+		float64Pool.Put(bp)
+		return nil, err
+	}
+	return bp, nil
+}
+
 // DecodePuncturedAnchored depunctures llrs for rate r (nInfo information
-// bits) and decodes with the zero-state anchor after anchorBit bits.
+// bits) and decodes with the zero-state anchor after anchorBit bits. The
+// mother stream is pooled, so steady-state decodes allocate only the
+// returned bits.
 func (v *Viterbi) DecodePuncturedAnchored(llrs []float64, r CodeRate, nInfo, anchorBit int) ([]byte, error) {
-	mother, err := Depuncture(llrs, r, 2*nInfo)
+	mp, err := depuncturePooled(llrs, r, 2*nInfo)
 	if err != nil {
 		return nil, err
 	}
-	return v.DecodeAnchored(mother, anchorBit)
+	defer float64Pool.Put(mp)
+	return v.DecodeAnchored(*mp, anchorBit)
 }
 
 // DecodeHard decodes hard-decision mother-code bits (0/1 per byte) on
@@ -247,9 +284,10 @@ func (v *Viterbi) DecodeHard(coded []byte) ([]byte, error) {
 // DecodePunctured depunctures llrs for rate r (nInfo information bits,
 // including tail) and decodes.
 func (v *Viterbi) DecodePunctured(llrs []float64, r CodeRate, nInfo int) ([]byte, error) {
-	mother, err := Depuncture(llrs, r, 2*nInfo)
+	mp, err := depuncturePooled(llrs, r, 2*nInfo)
 	if err != nil {
 		return nil, err
 	}
-	return v.Decode(mother)
+	defer float64Pool.Put(mp)
+	return v.Decode(*mp)
 }

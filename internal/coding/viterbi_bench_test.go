@@ -68,3 +68,27 @@ func benchDecodeHard(b *testing.B, scalar bool) {
 		}
 	}
 }
+
+// BenchmarkViterbiDecodeSoft measures the soft DATA decode at the
+// aci-pooled-soft packet size: 3264 trellis steps at rate 1/2 anchored
+// after SERVICE+PSDU+tail, on real-valued LLRs (see softPacket).
+func BenchmarkViterbiDecodeSoft(b *testing.B) { benchDecodeSoft(b, false) }
+
+// BenchmarkViterbiDecodeSoftScalar is BenchmarkViterbiDecodeSoft with the
+// SIMD kernel disabled (dsp.ForceScalar), timing forwardFloat.
+func BenchmarkViterbiDecodeSoftScalar(b *testing.B) { benchDecodeSoft(b, true) }
+
+func benchDecodeSoft(b *testing.B, scalar bool) {
+	llrs, anchor := softPacket(1, Rate1_2)
+	nInfo := len(llrs) / 2
+	dsp.ForceScalar(scalar)
+	defer dsp.ForceScalar(false)
+	v := NewViterbi()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := v.DecodePuncturedAnchored(llrs, Rate1_2, nInfo, anchor); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -12,11 +12,13 @@ import "sync/atomic"
 // the scalar twin (the equivalence and fuzz tests pin this). Builds with
 // the purego tag (or any other GOARCH) compile only the scalar code.
 //
-// One kernel outside this package shares the detection and the switch:
-// internal/coding's AVX2 integer Viterbi add-compare-select
-// (acs_amd64.s), which runs when SIMDName reports "avx2" and is
-// bit-identical to its scalar loop (int16 lanes that never overflow). It
-// has no NEON twin, so on arm64 the decoder stays scalar.
+// Two kernels outside this package share the detection and the switch,
+// both in internal/coding's acs_amd64.s: the AVX2 integer Viterbi
+// add-compare-select of the hard decoder (int16 lanes that never
+// overflow) and the AVX2 float64 one of the soft decoder (the scalar
+// loop's adds and comparisons lane for lane, no FMA). Each runs when
+// SIMDName reports "avx2" and is bit-identical to its scalar loop.
+// Neither has a NEON twin, so on arm64 both decoders stay scalar.
 //
 // asmOK is set once, at package init, before any other goroutine can
 // touch the package; scalarForced is the runtime kill switch.

@@ -87,3 +87,40 @@ func BenchmarkRunPacketACI(b *testing.B) {
 		pkt++
 	}
 }
+
+// BenchmarkRunPacketSoft times whole packets at the aci-pooled-soft
+// workload's −10 dB point: the ablation-soft layout (ACI, 16-QAM 1/2),
+// 400-byte PSDUs, interferer tiles from a waveform pool, and only the
+// standard-soft and cprecycle-soft arms, so the soft decisions and the
+// float Viterbi decode dominate. Serial decode.
+func BenchmarkRunPacketSoft(b *testing.B) {
+	sp, err := NewSweepPlan(SweepRequest{
+		Experiment: "ablation-soft",
+		Options:    Options{Packets: 64, PSDUBytes: 400, Seed: 1},
+		Axis:       []float64{-10},
+		Receivers:  []ReceiverKind{StandardSoft, CPRecycleSoft},
+		Pool:       wifi.NewWaveformPool(wifi.DefaultPoolSize, 1),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := sp.Points[0].Cfg
+	cfg.IntraWorkers = 1
+	plan, err := PlanPSR(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ok := make([]bool, len(plan.Receivers()))
+	// Encode the pool's waveforms before timing starts.
+	if err := plan.RunPacket(0, ok); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	pkt := 0
+	for b.Loop() {
+		if err := plan.RunPacket(pkt%plan.Packets(), ok); err != nil {
+			b.Fatal(err)
+		}
+		pkt++
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"sync"
 
 	"repro/internal/dsp"
 )
@@ -68,14 +69,34 @@ func (s Scheme) BitsPerSymbol() int {
 // Gray bit labelling. The zero value is not usable; construct with New.
 // A Constellation is immutable and safe for concurrent use.
 type Constellation struct {
-	scheme Scheme
-	bits   int
-	points []complex128 // indexed by the integer formed from the bit label
-	norm   float64      // K_MOD scaling applied to the raw lattice
+	scheme  Scheme
+	bits    int
+	points  []complex128 // indexed by the integer formed from the bit label
+	norm    float64      // K_MOD scaling applied to the raw lattice
+	minDist float64      // minimum distance between two lattice points
 }
 
-// New returns the constellation for the given scheme.
+// shared holds the one Constellation of each scheme, built on first use.
+var shared [QAM256 + 1]func() *Constellation
+
+func init() {
+	for s := range shared {
+		shared[s] = sync.OnceValue(func() *Constellation { return build(Scheme(s)) })
+	}
+}
+
+// New returns the constellation for the given scheme. Every call for a
+// scheme returns the same immutable value, built on the first call, so
+// New is free on hot paths.
 func New(s Scheme) *Constellation {
+	if s < 0 || int(s) >= len(shared) {
+		panic(fmt.Sprintf("modem: unknown scheme %d", int(s)))
+	}
+	return shared[s]()
+}
+
+// build constructs the constellation of scheme s.
+func build(s Scheme) *Constellation {
 	c := &Constellation{scheme: s, bits: s.BitsPerSymbol()}
 	switch s {
 	case BPSK:
@@ -115,6 +136,14 @@ func New(s Scheme) *Constellation {
 		}
 	default:
 		panic(fmt.Sprintf("modem: unknown scheme %d", int(s)))
+	}
+	c.minDist = math.Inf(1)
+	for i := range c.points {
+		for j := i + 1; j < len(c.points); j++ {
+			if d := cmplx.Abs(c.points[i] - c.points[j]); d < c.minDist {
+				c.minDist = d
+			}
+		}
 	}
 	return c
 }
@@ -269,18 +298,9 @@ func (c *Constellation) WithinRadius(centre complex128, radius float64, dst []in
 }
 
 // MinDistance returns the minimum Euclidean distance between any two
-// distinct lattice points (useful for choosing sphere radii).
-func (c *Constellation) MinDistance() float64 {
-	best := math.Inf(1)
-	for i := range c.points {
-		for j := i + 1; j < len(c.points); j++ {
-			if d := cmplx.Abs(c.points[i] - c.points[j]); d < best {
-				best = d
-			}
-		}
-	}
-	return best
-}
+// distinct lattice points (useful for choosing sphere radii), computed
+// once when the constellation is built.
+func (c *Constellation) MinDistance() float64 { return c.minDist }
 
 // AveragePower returns the mean squared magnitude over the lattice; 1.0 for
 // all correctly normalised schemes.

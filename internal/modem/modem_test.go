@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -395,5 +396,68 @@ func BenchmarkWithinRadius64QAM(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		dst = c.WithinRadius(0.3+0.2i, 0.5, dst[:0])
+	}
+}
+
+// TestMinDistanceMatchesPairwise pins the stored MinDistance of every
+// scheme, bit for bit, against an O(n²) scan over all lattice pairs.
+func TestMinDistanceMatchesPairwise(t *testing.T) {
+	for s := BPSK; s <= QAM256; s++ {
+		c := New(s)
+		want := math.Inf(1)
+		pts := c.Points()
+		for i := range pts {
+			for j := i + 1; j < len(pts); j++ {
+				want = math.Min(want, cmplx.Abs(pts[i]-pts[j]))
+			}
+		}
+		if got := c.MinDistance(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%v: MinDistance %v, pairwise scan %v", s, got, want)
+		}
+	}
+}
+
+// TestNewSharedAndAllocationFree checks that New returns one value per
+// scheme and allocates nothing once that value exists, and that an
+// unknown scheme still panics.
+func TestNewSharedAndAllocationFree(t *testing.T) {
+	for s := BPSK; s <= QAM256; s++ {
+		c := New(s)
+		if New(s) != c {
+			t.Fatalf("%v: New returned two different values", s)
+		}
+		if a := testing.AllocsPerRun(100, func() { c = New(s) }); a != 0 {
+			t.Fatalf("%v: New allocates %v times per call", s, a)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New(QAM256+1) did not panic")
+		}
+	}()
+	New(QAM256 + 1)
+}
+
+// TestNewConcurrent builds every constellation from many goroutines at
+// once (run under -race by make test-race-sweep): all must get the same
+// value.
+func TestNewConcurrent(t *testing.T) {
+	var got [8][QAM256 + 1]*Constellation
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := QAM256; s >= BPSK; s-- {
+				got[g][s] = New(s)
+				_ = got[g][s].MinDistance()
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if got[g] != got[0] {
+			t.Fatalf("goroutine %d saw different constellations", g)
+		}
 	}
 }

@@ -39,6 +39,7 @@ func (StandardDecider) DecideSymbolSoft(f *Frame, symIdx int, cons *modem.Conste
 	}
 	idxs := make([]int, len(obs.Data))
 	conf := make([]float64, len(obs.Data))
+	md := cons.MinDistance()
 	for i, v := range obs.Data {
 		best := cons.Nearest(v)
 		idxs[i] = best
@@ -55,17 +56,38 @@ func (StandardDecider) DecideSymbolSoft(f *Frame, symIdx int, cons *modem.Conste
 				first = false
 			}
 		}
-		conf[i] = (d2 - d1) / cons.MinDistance()
+		conf[i] = (d2 - d1) / md
 	}
 	return idxs, conf, nil
 }
 
+// softScratch is a soft decode's working set: the packet-wide LLR stream
+// and one worker's per-symbol buffers. Pooled, so steady-state soft
+// decoding reuses it; no slice outlives the decode that took it.
+type softScratch struct {
+	llrs   []float64 // packet LLR stream, Ncbps per symbol
+	bits   []byte    // one lattice point's bit label
+	blk    []float64 // one symbol's weights before deinterleaving
+	sorted []float64 // normalize's sort buffer
+	w      []float64 // normalize's output
+}
+
+var softPool = sync.Pool{New: func() any { return new(softScratch) }}
+
+// resize returns buf with length n, reallocating only when it is too
+// small. The contents are not preserved.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // softSymbolLLRs decides symbol k on f with the soft decider and writes
 // the symbol's deinterleaved per-bit weights into dst (a Ncbps-sized slot
-// of the packet-wide LLR stream). blk and bitBuf are caller-provided
-// scratch.
+// of the packet-wide LLR stream), using sc's per-symbol buffers.
 func softSymbolLLRs(f *Frame, soft SoftSymbolDecider, k int, cons *modem.Constellation,
-	il *coding.Interleaver, bitBuf []byte, blk, dst []float64) error {
+	il *coding.Interleaver, sc *softScratch, dst []float64) error {
 	idxs, conf, err := soft.DecideSymbolSoft(f, k, cons)
 	if err != nil {
 		return err
@@ -73,19 +95,21 @@ func softSymbolLLRs(f *Frame, soft SoftSymbolDecider, k int, cons *modem.Constel
 	if len(idxs) != f.DataSubcarrierCount() || len(conf) != len(idxs) {
 		return fmt.Errorf("rx: soft decider returned %d/%d entries", len(idxs), len(conf))
 	}
-	nb := len(bitBuf)
-	w := normalizeConfidences(conf)
+	nb := cons.BitsPerSymbol()
+	sc.bits = resize(sc.bits, nb)
+	sc.blk = resize(sc.blk, len(dst))
+	w := sc.normalize(conf)
 	for i, idx := range idxs {
-		cons.BitsOf(idx, bitBuf)
-		for b, bit := range bitBuf {
+		cons.BitsOf(idx, sc.bits)
+		for b, bit := range sc.bits {
 			v := w[i]
 			if bit == 1 {
 				v = -v
 			}
-			blk[i*nb+b] = v
+			sc.blk[i*nb+b] = v
 		}
 	}
-	il.DeinterleaveLLRInto(dst, blk)
+	il.DeinterleaveLLRInto(dst, sc.blk)
 	return nil
 }
 
@@ -115,16 +139,16 @@ func DecodeDataSoft(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolDecider) 
 	il := coding.MustInterleaver(mcs.Ncbps, mcs.Nbpsc)
 
 	obsStart := time.Now()
-	llrs := make([]float64, nSyms*mcs.Ncbps)
-	bitBuf := make([]byte, cons.BitsPerSymbol())
-	blk := make([]float64, mcs.Ncbps)
+	sc := softPool.Get().(*softScratch)
+	defer softPool.Put(sc)
+	sc.llrs = resize(sc.llrs, nSyms*mcs.Ncbps)
 	for k := 0; k < nSyms; k++ {
-		if err := softSymbolLLRs(f, soft, k, cons, il, bitBuf, blk, llrs[k*mcs.Ncbps:(k+1)*mcs.Ncbps]); err != nil {
+		if err := softSymbolLLRs(f, soft, k, cons, il, sc, sc.llrs[k*mcs.Ncbps:(k+1)*mcs.Ncbps]); err != nil {
 			return Result{}, fmt.Errorf("rx: symbol %d: %w", k, err)
 		}
 	}
 	stageObserve.ObserveSince(obsStart)
-	return decodeLLRData(llrs, mcs, psduLen, nSyms)
+	return decodeLLRData(sc.llrs, mcs, psduLen, nSyms)
 }
 
 // DecodeDataSoftParallel is DecodeDataSoft with the per-symbol soft
@@ -172,7 +196,10 @@ func DecodeDataSoftParallel(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolD
 	}
 
 	obsStart := time.Now()
-	llrs := make([]float64, nSyms*mcs.Ncbps)
+	sc := softPool.Get().(*softScratch)
+	defer softPool.Put(sc)
+	sc.llrs = resize(sc.llrs, nSyms*mcs.Ncbps)
+	llrs := sc.llrs
 	errs := make([]error, nSyms)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -182,10 +209,13 @@ func DecodeDataSoftParallel(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolD
 			frame, dec := frames[w], softs[w]
 			cons := modem.New(mcs.Scheme)
 			il := coding.MustInterleaver(mcs.Ncbps, mcs.Nbpsc)
-			bitBuf := make([]byte, cons.BitsPerSymbol())
-			blk := make([]float64, mcs.Ncbps)
+			ws := sc
+			if w > 0 {
+				ws = softPool.Get().(*softScratch)
+				defer softPool.Put(ws)
+			}
 			for k := w; k < nSyms; k += workers {
-				if err := softSymbolLLRs(frame, dec, k, cons, il, bitBuf, blk, llrs[k*mcs.Ncbps:(k+1)*mcs.Ncbps]); err != nil {
+				if err := softSymbolLLRs(frame, dec, k, cons, il, ws, llrs[k*mcs.Ncbps:(k+1)*mcs.Ncbps]); err != nil {
 					errs[k] = err
 					return
 				}
@@ -202,17 +232,17 @@ func DecodeDataSoftParallel(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolD
 	return decodeLLRData(llrs, mcs, psduLen, nSyms)
 }
 
-// normalizeConfidences maps raw confidences to weights with median 1,
-// clipped to [0, 4] so a few very confident subcarriers cannot drown the
-// rest of the trellis.
-func normalizeConfidences(conf []float64) []float64 {
-	sorted := append([]float64(nil), conf...)
-	sort.Float64s(sorted)
-	med := sorted[len(sorted)/2]
+// normalize maps raw confidences to weights with median 1, clipped to
+// [0, 4] so a few very confident subcarriers cannot drown the rest of the
+// trellis. The weights live in s.w until the next call.
+func (s *softScratch) normalize(conf []float64) []float64 {
+	s.sorted = append(s.sorted[:0], conf...)
+	sort.Float64s(s.sorted)
+	med := s.sorted[len(s.sorted)/2]
 	if med <= 1e-9 {
 		med = 1e-9
 	}
-	out := make([]float64, len(conf))
+	s.w = resize(s.w, len(conf))
 	for i, c := range conf {
 		w := c / med
 		if w < 0 {
@@ -221,7 +251,7 @@ func normalizeConfidences(conf []float64) []float64 {
 		if w > 4 {
 			w = 4
 		}
-		out[i] = w
+		s.w[i] = w
 	}
-	return out
+	return s.w
 }

@@ -2,9 +2,11 @@ package rx
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/channel"
+	"repro/internal/coding"
 	"repro/internal/modem"
 	"repro/internal/wifi"
 )
@@ -90,7 +92,8 @@ func TestDecodeDataSoftFallsBackForHardDecider(t *testing.T) {
 }
 
 func TestNormalizeConfidences(t *testing.T) {
-	w := normalizeConfidences([]float64{0, 1, 2, 100})
+	var sc softScratch
+	w := sc.normalize([]float64{0, 1, 2, 100})
 	if w[0] != 0 {
 		t.Fatal("zero stays zero")
 	}
@@ -98,10 +101,86 @@ func TestNormalizeConfidences(t *testing.T) {
 		t.Fatalf("clipping failed: %v", w[3])
 	}
 	// All-zero input must not divide by zero.
-	z := normalizeConfidences([]float64{0, 0, 0})
+	z := sc.normalize([]float64{0, 0, 0})
 	for _, v := range z {
 		if v != 0 {
 			t.Fatal("all-zero confidences should stay zero")
+		}
+	}
+}
+
+// poisonSoftScratch fills every buffer of sc, to full capacity, with NaN
+// (0xff for the bit label), so a decode that read stale scratch would
+// show it.
+func poisonSoftScratch(sc *softScratch) {
+	for _, buf := range [][]float64{sc.llrs, sc.blk, sc.sorted, sc.w} {
+		buf = buf[:cap(buf)]
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+	}
+	for i := range sc.bits[:cap(sc.bits)] {
+		sc.bits[:cap(sc.bits)][i] = 0xff
+	}
+}
+
+// TestSoftScratchReuse checks that reused soft-decode scratch cannot leak
+// into results. Per symbol, the weights written through scratch last used
+// at another MCS and then NaN-filled must equal those written through
+// fresh scratch, bit for bit. Per packet, decoding long, short and long
+// again through the pool, NaN-filling the pooled scratch before each,
+// must reproduce each frame's first decode.
+func TestSoftScratchReuse(t *testing.T) {
+	type pkt struct {
+		f    *Frame
+		mcs  wifi.MCS
+		len  int
+		want Result
+	}
+	var pkts []pkt
+	for i, c := range []struct {
+		name string
+		len  int
+	}{{"64-QAM 2/3", 400}, {"QPSK 1/2", 40}} {
+		f, _, _ := buildFrame(t, int64(40+i), c.name, c.len, channel.Indoor2Tap(), 16, 5)
+		mcs, _ := wifi.MCSByName(c.name)
+		want, err := DecodeDataSoft(f, mcs, c.len, StandardDecider{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts = append(pkts, pkt{f, mcs, c.len, want})
+	}
+	used := new(softScratch)
+	for _, p := range append(pkts, pkts[0]) {
+		cons := modem.New(p.mcs.Scheme)
+		il := coding.MustInterleaver(p.mcs.Ncbps, p.mcs.Nbpsc)
+		for k := 0; k < 3; k++ {
+			want := make([]float64, p.mcs.Ncbps)
+			got := make([]float64, p.mcs.Ncbps)
+			if err := softSymbolLLRs(p.f, StandardDecider{}, k, cons, il, new(softScratch), want); err != nil {
+				t.Fatal(err)
+			}
+			poisonSoftScratch(used)
+			if err := softSymbolLLRs(p.f, StandardDecider{}, k, cons, il, used, got); err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s symbol %d bit %d: reused scratch gives %v, fresh %v", p.mcs.Name, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	for i, p := range []pkt{pkts[0], pkts[1], pkts[0]} {
+		sc := softPool.Get().(*softScratch)
+		poisonSoftScratch(sc)
+		softPool.Put(sc)
+		got, err := DecodeDataSoft(p.f, p.mcs, p.len, StandardDecider{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.PSDU, p.want.PSDU) || got.FCSOK != p.want.FCSOK || got.ScramblerSeed != p.want.ScramblerSeed {
+			t.Fatalf("decode %d (%s) through poisoned pooled scratch differs", i, p.mcs.Name)
 		}
 	}
 }

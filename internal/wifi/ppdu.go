@@ -125,7 +125,7 @@ func BuildPPDUInto(buf []complex128, cfg TxConfig, psdu []byte) (PPDU, error) {
 	if len(s.bins) != cfg.Grid.NFFT {
 		s.bins = make([]complex128, cfg.Grid.NFFT)
 	}
-	assembleSymbolInto(p.Samples[p.SignalStart:p.SignalStart+symLen], s.bins, mod, constellations[modem.BPSK](), s.blk[:48], 0, gain)
+	assembleSymbolInto(p.Samples[p.SignalStart:p.SignalStart+symLen], s.bins, mod, modem.New(modem.BPSK), s.blk[:48], 0, gain)
 
 	// DATA field bit pipeline (§18.3.5.4-7): SERVICE(16 zeros) + PSDU +
 	// tail + pad.
@@ -146,7 +146,7 @@ func BuildPPDUInto(buf []complex128, cfg TxConfig, psdu []byte) (PPDU, error) {
 	if err != nil {
 		return PPDU{}, err
 	}
-	cons := constellations[cfg.MCS.Scheme]()
+	cons := modem.New(cfg.MCS.Scheme)
 
 	ncbps := cfg.MCS.Ncbps
 	if len(s.blk) < ncbps {
@@ -196,19 +196,13 @@ func (s *txScratch) modulator(g ofdm.Grid) (*ofdm.Modulator, error) {
 	return m, nil
 }
 
-// constellations holds one constellation per scheme and mcsInterleavers
-// the DATA-field interleaver of each standardMCS entry, shared by every
-// encoder since both are immutable once built. Each is built on first use,
-// so only the rates a program transmits stay on the heap.
-var (
-	constellations  [modem.QAM256 + 1]func() *modem.Constellation
-	mcsInterleavers [len(standardMCS)]func() *coding.Interleaver
-)
+// mcsInterleavers holds the DATA-field interleaver of each standardMCS
+// entry, shared by every encoder since it is immutable once built. Each
+// is built on first use, so only the rates a program transmits stay on
+// the heap.
+var mcsInterleavers [len(standardMCS)]func() *coding.Interleaver
 
 func init() {
-	for sc := range constellations {
-		constellations[sc] = sync.OnceValue(func() *modem.Constellation { return modem.New(modem.Scheme(sc)) })
-	}
 	for i, m := range standardMCS {
 		mcsInterleavers[i] = sync.OnceValue(func() *coding.Interleaver { return coding.MustInterleaver(m.Ncbps, m.Nbpsc) })
 	}
