@@ -2,6 +2,7 @@ package coding
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -219,6 +220,32 @@ func TestPuncturePatterns(t *testing.T) {
 	want34 := []byte{1, 2, 3, 6, 7, 8, 9, 12}
 	if !bytes.Equal(got34, want34) {
 		t.Fatalf("rate 3/4: %v, want %v", got34, want34)
+	}
+}
+
+// TestAppendPunctureMatchesModuloLoop pins AppendPuncture to the
+// original per-bit loop, pattern position i%period, for every rate and
+// every length from 0 to two periods plus one, odd lengths included,
+// appending onto a non-empty dst.
+func TestAppendPunctureMatchesModuloLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, r := range []CodeRate{Rate1_2, Rate2_3, Rate3_4} {
+		pat := r.puncturePattern()
+		for n := 0; n <= 2*len(pat)+1; n++ {
+			coded := make([]byte, n)
+			for i := range coded {
+				coded[i] = byte(rng.Intn(256))
+			}
+			want := []byte{7}
+			for i, b := range coded {
+				if pat[i%len(pat)] {
+					want = append(want, b)
+				}
+			}
+			if got := AppendPuncture([]byte{7}, coded, r); !bytes.Equal(got, want) {
+				t.Fatalf("rate %v len %d: %v, want %v", r, n, got, want)
+			}
+		}
 	}
 }
 

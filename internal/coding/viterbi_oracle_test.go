@@ -383,9 +383,10 @@ func TestTrellisButterflySymmetry(t *testing.T) {
 
 // TestViterbiConcurrentShared decodes through one shared *Viterbi from
 // many goroutines — every entry point, DecodeAnchored at the end anchor
-// included — so the race detector sees any decode that writes to the
-// receiver, and the pooled survivor and int8 buffers are exercised
-// concurrently. Every result must equal the serial one.
+// included, and soft punctured decodes of two lengths — so the race
+// detector sees any decode that writes to the receiver, and the pooled
+// survivor, int8 and float64 buffers are exercised concurrently. Every
+// result must equal the serial one.
 func TestViterbiConcurrentShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 1500
@@ -397,14 +398,18 @@ func TestViterbiConcurrentShared(t *testing.T) {
 		}
 	}
 	llrs := int8ToLLR(s)
+	soft, anchor := softPacket(12, Rate3_4)
+	nSoft := len(soft) * 3 / 4
 	v := NewViterbi()
-	run := func() [4][]byte {
-		var r [4][]byte
-		var err [4]error
+	run := func() [6][]byte {
+		var r [6][]byte
+		var err [6]error
 		r[0], err[0] = v.Decode(llrs)
 		r[1], err[1] = v.DecodeAnchored(llrs, n)
 		r[2], err[2] = v.DecodeAnchored(llrs, n/2)
 		r[3], err[3] = v.DecodeHardPuncturedAnchored(coded, Rate1_2, n, n/2)
+		r[4], err[4] = v.DecodePuncturedAnchored(soft, Rate3_4, nSoft, anchor)
+		r[5], err[5] = v.DecodePunctured(soft[:48*9], Rate3_4, 48*9*3/4)
 		for _, e := range err {
 			if e != nil {
 				t.Error(e)

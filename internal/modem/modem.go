@@ -95,7 +95,7 @@ func New(s Scheme) *Constellation {
 	return shared[s]()
 }
 
-// build constructs the constellation of scheme s.
+// build constructs the constellation of scheme s, a scheme New accepts.
 func build(s Scheme) *Constellation {
 	c := &Constellation{scheme: s, bits: s.BitsPerSymbol()}
 	switch s {
@@ -134,8 +134,6 @@ func build(s Scheme) *Constellation {
 			q := grayAxis(idx&15, 4)
 			c.points[idx] = complex(i*c.norm, q*c.norm)
 		}
-	default:
-		panic(fmt.Sprintf("modem: unknown scheme %d", int(s)))
 	}
 	c.minDist = math.Inf(1)
 	for i := range c.points {
