@@ -48,16 +48,17 @@
 // same dispatch and ForceScalar switch as the dsp kernels, and the soft
 // decode's LLR streams come from pools as the hard decode's do.
 //
-// Within one packet, rx.DecodeDataParallel fans the per-symbol decisions
-// across a bounded worker pool — each worker on its own Frame.ScratchFork
-// observation scratch and rx.ParallelDecider fork — merging coded bits in
-// symbol order; rx.DecodeDataSoftParallel does the same for the
-// soft-decision path, merging each symbol's deinterleaved Viterbi bit
-// weights into its slot of the packet-wide LLR stream. The determinism
-// contract: parallel decode is bit-identical to serial decode at any
-// worker count; deciders whose state makes decisions order-dependent
-// (CPRecycle's §4.3 continuous model update) refuse to fork and run
-// serially. experiments.RunPacket engages both with the cores
+// Within one packet, one rx symbol loop serves hard and soft, serial
+// and parallel DATA decoding (rx.DecodeData, rx.DecodeDataSoft and their
+// …Parallel forms): it splits the symbols by stride across a bounded set
+// of workers — the first on the caller's goroutine, each other on its own
+// Frame.ScratchFork observation scratch and rx.ParallelDecider fork — and
+// every worker writes each symbol's deinterleaved coded bits (hard) or
+// Viterbi bit weights (soft) into that symbol's slot of one pooled packet
+// stream. The determinism contract: parallel decode is bit-identical to
+// serial decode at any worker count; deciders whose state makes decisions
+// order-dependent (CPRecycle's §4.3 continuous model update) refuse to
+// fork and run serially. experiments.RunPacket engages it with the cores
 // packet-level sharding leaves idle. A same-seed regression test
 // (internal/experiments) pins every receiver arm's packet decisions to
 // the pre-optimisation implementation, with parallel decode both off

@@ -312,14 +312,45 @@ func (r *Receiver) ForkDecider() (rx.SymbolDecider, bool) {
 
 // DecideSymbol implements rx.SymbolDecider.
 func (r *Receiver) DecideSymbol(f *rx.Frame, symIdx int, cons *modem.Constellation) ([]int, error) {
+	return r.decide(f, symIdx, cons, nil)
+}
+
+// DecideSymbolSoft implements rx.SoftSymbolDecider: the decisions are
+// DecideSymbol's (the §4.3 live update included, so mixing hard and soft
+// decoding of one frame stays coherent), and the confidence of each
+// subcarrier is the score margin between the best and second-best sphere
+// candidate under the per-segment weighted metric — exactly the quantity
+// the interference model says separates the hypotheses. Subcarriers whose
+// model scales are saturated by interference in every segment produce tiny
+// margins and are effectively erased for the Viterbi decoder. The
+// sphere-KDE realisation stays hard-decision (paper-literal) and gives
+// every decision unit confidence. The confidence slice, like the
+// decisions, is overwritten by the next call.
+func (r *Receiver) DecideSymbolSoft(f *rx.Frame, symIdx int, cons *modem.Constellation) ([]int, []float64, error) {
+	if nSC := f.DataSubcarrierCount(); len(r.conf) != nSC {
+		r.conf = make([]float64, nSC)
+	}
+	idxs, err := r.decide(f, symIdx, cons, r.conf)
+	if err != nil {
+		return nil, nil, err
+	}
+	return idxs, r.conf, nil
+}
+
+// decide observes symbol symIdx on every segment and runs the configured
+// decision rule, writing confidences into conf unless it is nil.
+func (r *Receiver) decide(f *rx.Frame, symIdx int, cons *modem.Constellation, conf []float64) ([]int, error) {
 	obs, err := f.ObserveSegments(symIdx, r.cfg.Segments)
 	if err != nil {
 		return nil, err
 	}
 	if r.cfg.Decision == DecisionSphereKDE {
+		for i := range conf {
+			conf[i] = 1
+		}
 		return r.decideSphereKDE(f, obs, cons)
 	}
-	return r.decideModelWeighted(f, obs, cons)
+	return r.decideModelWeighted(f, obs, cons, conf)
 }
 
 // decideModelWeighted is the recommended realisation: per subcarrier,
@@ -327,7 +358,11 @@ func (r *Receiver) DecideSymbol(f *rx.Frame, symIdx int, cons *modem.Constellati
 // s_{j,i} = preamble scale × per-symbol pilot ratio. The weighted-L1 form
 // is the ML under a per-segment Laplacian interference model and is robust
 // to the heavy-tailed per-symbol leakage the kernel product mishandles.
-func (r *Receiver) decideModelWeighted(f *rx.Frame, obs []rx.Observation, cons *modem.Constellation) ([]int, error) {
+// When conf is non-nil it also receives each subcarrier's margin (see
+// DecideSymbolSoft): 0 for an empty sphere's fallback decision, 1 for a
+// sole candidate, otherwise the second-best minus the best score over the
+// total weight.
+func (r *Receiver) decideModelWeighted(f *rx.Frame, obs []rx.Observation, cons *modem.Constellation, conf []float64) ([]int, error) {
 	P := len(obs)
 	nSC := f.DataSubcarrierCount()
 	radius := r.cfg.Radius
@@ -377,21 +412,40 @@ func (r *Receiver) decideModelWeighted(f *rx.Frame, obs []rx.Observation, cons *
 		}
 		centroid /= complex(wsum, 0)
 		cands = cons.WithinRadius(centroid, radius, cands[:0])
-		if len(cands) == 0 {
+		switch len(cands) {
+		case 0:
 			out[i] = cons.Nearest(centroid)
-		} else {
-			best, bestScore := cands[0], math.Inf(1)
+			if conf != nil {
+				conf[i] = 0 // fallback decision: treat as erasure
+			}
+		case 1:
+			out[i] = cands[0]
+			if conf != nil {
+				conf[i] = 1 // sole candidate in the sphere: maximally confident
+			}
+		default:
+			best, second := math.Inf(1), math.Inf(1)
+			bestLi := cands[0]
 			for _, li := range cands {
 				l := cons.Point(li)
 				score := 0.0
 				for j := range obs {
 					score += dsp.Abs(obs[j].Data[i]-l) * w[j]
 				}
-				if score < bestScore {
-					bestScore, best = score, li
+				if score < best {
+					second = best
+					best, bestLi = score, li
+				} else if score < second {
+					second = score
 				}
 			}
-			out[i] = best
+			out[i] = bestLi
+			if conf != nil {
+				// Normalise the margin by the total weight so confidences
+				// are comparable across subcarriers with different scale
+				// profiles.
+				conf[i] = (second - best) / wsum
+			}
 		}
 		if r.live != nil {
 			// Continuous model update (§4.3): fold this symbol's residuals

@@ -123,12 +123,14 @@ type LinkConfig struct {
 	// Workers bounds the packet-level parallelism (default: GOMAXPROCS).
 	Workers int
 	// IntraWorkers bounds the intra-packet parallelism: the number of
-	// goroutines rx.DecodeDataParallel fans one packet's OFDM symbols
-	// across (per decodable arm). 1 forces the serial decode; 0 picks
-	// GOMAXPROCS / packet-workers, i.e. the cores packet-level sharding
-	// leaves idle — so a fully occupied sweep stays serial per packet
-	// while a single-packet (or worker-starved) run uses the spare cores
-	// to cut latency. Decisions are bit-identical at any setting.
+	// workers the rx DATA decode (rx.DecodeDataParallel and its soft
+	// form) splits one packet's OFDM symbols across, per decodable arm,
+	// the first on the packet's own goroutine. 1 forces the serial
+	// decode; 0 picks GOMAXPROCS / packet-workers, i.e. the cores
+	// packet-level sharding leaves idle — so a fully occupied sweep
+	// stays serial per packet while a single-packet (or worker-starved)
+	// run uses the spare cores to cut latency. Decisions are
+	// bit-identical at any setting.
 	IntraWorkers int
 	// CoreTweak, when set, adjusts the CPRecycle configuration of the
 	// CPRecycle* arms (used by the ablation benches to sweep sphere
@@ -430,25 +432,14 @@ func (p *PSRPlan) RunPacket(pkt int, ok []bool) error {
 		default:
 			return fmt.Errorf("experiments: unknown receiver kind %d", int(k))
 		}
-		var res rx.Result
-		var err error
-		switch {
-		case soft && p.intra > 1:
-			// The soft path fans over the same ParallelDecider pool with
-			// the same symbol-ordered merge contract; deciders whose
-			// state forbids forking fall back to serial inside, so
-			// results are bit-identical either way.
-			res, err = rx.DecodeDataSoftParallel(f, cfg.MCS, len(psdu), decider, p.intra)
-		case soft:
-			res, err = rx.DecodeDataSoft(f, cfg.MCS, len(psdu), decider)
-		case p.intra > 1:
-			// Fan this packet's symbols across the idle cores; deciders
-			// whose state forbids forking fall back to serial inside,
-			// so results are bit-identical either way.
-			res, err = rx.DecodeDataParallel(f, cfg.MCS, len(psdu), decider, p.intra)
-		default:
-			res, err = rx.DecodeData(f, cfg.MCS, len(psdu), decider)
+		// Fan this packet's symbols across the idle cores; at intra <= 1,
+		// or for deciders whose state forbids forking, the decode runs
+		// serially, so results are bit-identical either way.
+		decode := rx.DecodeDataParallel
+		if soft {
+			decode = rx.DecodeDataSoftParallel
 		}
+		res, err := decode(f, cfg.MCS, len(psdu), decider, p.intra)
 		if err != nil {
 			return err
 		}

@@ -2,6 +2,9 @@ package rx
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/channel"
@@ -36,40 +39,16 @@ func parallelTestFrame(t *testing.T, snrDB float64) (*Frame, wifi.MCS, []byte) {
 	return f, m, psdu
 }
 
-// TestDecodeDataParallelMatchesSerial pins the parallel decode to the
-// serial one bit for bit across worker counts, including worker counts
-// that exceed the symbol count. The noise level is chosen so some symbols
-// carry bit errors — the merge must preserve them identically, not just
-// reproduce a clean packet.
-func TestDecodeDataParallelMatchesSerial(t *testing.T) {
-	for _, snr := range []float64{30, 4} {
-		f, m, _ := parallelTestFrame(t, snr)
-		want, err := DecodeData(f, m, 100, StandardDecider{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 3, 7, 1000} {
-			got, err := DecodeDataParallel(f, m, 100, StandardDecider{}, workers)
-			if err != nil {
-				t.Fatalf("snr=%v workers=%d: %v", snr, workers, err)
-			}
-			if !bytes.Equal(got.PSDU, want.PSDU) || got.FCSOK != want.FCSOK || got.ScramblerSeed != want.ScramblerSeed {
-				t.Fatalf("snr=%v workers=%d: parallel decode diverged from serial", snr, workers)
-			}
-		}
-	}
-}
+// forkRefuser is a soft decider whose ForkDecider refuses, forcing the
+// serial fallback.
+type forkRefuser struct{ StandardDecider }
 
-// forkRefusingDecider wraps StandardDecider but refuses to fork, forcing
-// the serial fallback.
-type forkRefusingDecider struct{ StandardDecider }
-
-func (forkRefusingDecider) ForkDecider() (SymbolDecider, bool) { return nil, false }
+func (forkRefuser) ForkDecider() (SymbolDecider, bool) { return nil, false }
 
 // countingDecider counts DecideSymbol invocations. It deliberately does
 // NOT implement ParallelDecider (no embedding, which would promote
-// StandardDecider.ForkDecider), so DecodeDataParallel must fall back to
-// the serial path.
+// StandardDecider.ForkDecider) nor SoftSymbolDecider, so the decode must
+// run serially and hard.
 type countingDecider struct {
 	std   StandardDecider
 	calls int
@@ -80,31 +59,191 @@ func (c *countingDecider) DecideSymbol(f *Frame, symIdx int, cons *modem.Constel
 	return c.std.DecideSymbol(f, symIdx, cons)
 }
 
-// TestDecodeDataParallelFallbacks checks the serial fallbacks: a decider
-// that is not a ParallelDecider, and one whose ForkDecider refuses.
-func TestDecodeDataParallelFallbacks(t *testing.T) {
+// hardOnlyDecider implements ParallelDecider but not SoftSymbolDecider,
+// so a soft decode of it must run as the hard parallel decode.
+type hardOnlyDecider struct{}
+
+func (hardOnlyDecider) DecideSymbol(f *Frame, symIdx int, cons *modem.Constellation) ([]int, error) {
+	return StandardDecider{}.DecideSymbol(f, symIdx, cons)
+}
+func (d hardOnlyDecider) ForkDecider() (SymbolDecider, bool) { return d, true }
+
+// softForkLoser forks successfully but its fork is hard-only, so a soft
+// decode must fall back to serial soft decoding rather than silently
+// dropping the confidences.
+type softForkLoser struct{ StandardDecider }
+
+func (softForkLoser) ForkDecider() (SymbolDecider, bool) { return hardOnlyDecider{}, true }
+
+// TestDecodeDataParallelMatchesSerial pins the parallel decode to the
+// serial one bit for bit, hard and soft, across worker counts (including
+// counts that exceed the symbol count) and across deciders that exercise
+// every fallback: one that refuses to fork, one that is not a
+// ParallelDecider, one without the soft interface, and one whose forks
+// lose it. A soft decode of a decider without the soft interface must
+// match the hard decode. The low-SNR frame makes some symbols carry bit
+// errors and some confidences genuinely informative, so the merge is
+// checked on streams that change the trellis, not just on a clean packet.
+func TestDecodeDataParallelMatchesSerial(t *testing.T) {
+	for _, snr := range []float64{30, 4} {
+		f, m, _ := parallelTestFrame(t, snr)
+		nSyms := m.SymbolsForPSDU(100)
+		wantHard, err := DecodeData(f, m, 100, StandardDecider{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSoft, err := DecodeDataSoft(f, m, 100, StandardDecider{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, soft := range []bool{false, true} {
+			decode := DecodeDataParallel
+			if soft {
+				decode = DecodeDataSoftParallel
+			}
+			for _, workers := range []int{1, 2, 3, 7, 1000} {
+				counter := &countingDecider{}
+				for _, c := range []struct {
+					name    string
+					decider SymbolDecider
+					soft    bool // decodes soft when asked to
+				}{
+					{"standard", StandardDecider{}, true},
+					{"fork-refuser", forkRefuser{}, true},
+					{"non-parallel counter", counter, false},
+					{"hard-only", hardOnlyDecider{}, false},
+					{"soft-fork-loser", softForkLoser{}, true},
+				} {
+					want := wantHard
+					if soft && c.soft {
+						want = wantSoft
+					}
+					got, err := decode(f, m, 100, c.decider, workers)
+					if err != nil {
+						t.Fatalf("snr=%v soft=%v workers=%d %s: %v", snr, soft, workers, c.name, err)
+					}
+					if !bytes.Equal(got.PSDU, want.PSDU) || got.FCSOK != want.FCSOK || got.ScramblerSeed != want.ScramblerSeed {
+						t.Fatalf("snr=%v soft=%v workers=%d %s: decode diverged from serial", snr, soft, workers, c.name)
+					}
+				}
+				if counter.calls != nSyms {
+					t.Fatalf("snr=%v soft=%v workers=%d: non-parallel decider saw %d calls, want %d (serial fallback)",
+						snr, soft, workers, counter.calls, nSyms)
+				}
+			}
+		}
+	}
+}
+
+// failingDecider is a stateless parallel soft decider that fails at
+// every symbol from at on, so several workers can fail at once.
+type failingDecider struct {
+	StandardDecider
+	at int
+}
+
+var errDecide = errors.New("decider failed")
+
+func (d failingDecider) DecideSymbol(f *Frame, symIdx int, cons *modem.Constellation) ([]int, error) {
+	if symIdx >= d.at {
+		return nil, errDecide
+	}
+	return d.StandardDecider.DecideSymbol(f, symIdx, cons)
+}
+
+func (d failingDecider) DecideSymbolSoft(f *Frame, symIdx int, cons *modem.Constellation) ([]int, []float64, error) {
+	if symIdx >= d.at {
+		return nil, nil, errDecide
+	}
+	return d.StandardDecider.DecideSymbolSoft(f, symIdx, cons)
+}
+
+func (d failingDecider) ForkDecider() (SymbolDecider, bool) { return d, true }
+
+// TestDecodeDataReportsFailingSymbol checks that a decider failing from
+// any symbol on — first, interior or last — reports the first failing
+// symbol's index with the decider's error, hard and soft, serial and
+// parallel.
+func TestDecodeDataReportsFailingSymbol(t *testing.T) {
 	f, m, _ := parallelTestFrame(t, 30)
-	want, err := DecodeData(f, m, 100, StandardDecider{})
+	last := m.SymbolsForPSDU(100) - 1
+	for _, soft := range []bool{false, true} {
+		decode := DecodeDataParallel
+		if soft {
+			decode = DecodeDataSoftParallel
+		}
+		for _, at := range []int{0, 3, last} {
+			for _, workers := range []int{1, 2, 4} {
+				_, err := decode(f, m, 100, failingDecider{at: at}, workers)
+				want := fmt.Sprintf("rx: symbol %d: ", at)
+				if err == nil || !strings.HasPrefix(err.Error(), want) || !errors.Is(err, errDecide) {
+					t.Fatalf("soft=%v fail at %d, workers=%d: error %v, want %q wrapping %v", soft, at, workers, err, want, errDecide)
+				}
+			}
+		}
+	}
+}
+
+// reusingDecider is the standard slicer returning decisions and
+// confidences in reused slices, so a decode through it allocates only
+// what the decode itself does.
+type reusingDecider struct {
+	idxs []int
+	conf []float64
+}
+
+func (d *reusingDecider) DecideSymbol(f *Frame, symIdx int, cons *modem.Constellation) ([]int, error) {
+	idxs, _, err := d.DecideSymbolSoft(f, symIdx, cons)
+	return idxs, err
+}
+
+func (d *reusingDecider) DecideSymbolSoft(f *Frame, symIdx int, cons *modem.Constellation) ([]int, []float64, error) {
+	obs, err := f.ObserveSymbol(symIdx, f.Grid().CP)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	cd := &countingDecider{}
-	got, err := DecodeDataParallel(f, m, 100, cd, 4)
-	if err != nil {
-		t.Fatal(err)
+	d.idxs = resize(d.idxs, len(obs.Data))
+	d.conf = resize(d.conf, len(obs.Data))
+	for i, v := range obs.Data {
+		d.idxs[i] = cons.Nearest(v)
+		d.conf[i] = 1
 	}
-	if cd.calls != m.SymbolsForPSDU(100) {
-		t.Fatalf("non-parallel decider saw %d calls, want %d (serial fallback)", cd.calls, m.SymbolsForPSDU(100))
+	return d.idxs, d.conf, nil
+}
+
+// TestDecodeDataAllocsFlatInSymbols checks that a serial decode's
+// allocations do not grow with the symbol count: decoding a 1000-octet
+// PSDU allocates no more than decoding a 10-octet one, hard and soft.
+// Skipped under -race, where sync.Pool drops items at random.
+func TestDecodeDataAllocsFlatInSymbols(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
 	}
-	if !bytes.Equal(got.PSDU, want.PSDU) {
-		t.Fatal("fallback decode diverged")
-	}
-	got, err = DecodeDataParallel(f, m, 100, forkRefusingDecider{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.PSDU, want.PSDU) {
-		t.Fatal("fork-refusing fallback decode diverged")
+	for _, soft := range []bool{false, true} {
+		decode := DecodeData
+		if soft {
+			decode = DecodeDataSoft
+		}
+		var allocs [2]float64
+		for i, n := range []int{10, 1000} {
+			f, _, psdu := buildFrame(t, int64(60+i), "QPSK 1/2", n, nil, 10000, 5)
+			mcs, _ := wifi.MCSByName("QPSK 1/2")
+			d := &reusingDecider{}
+			for range 2 { // warm the pools and the decider's slices
+				if res, err := decode(f, mcs, n, d); err != nil || !res.FCSOK || !bytes.Equal(res.PSDU, psdu) {
+					t.Fatalf("soft=%v %d octets: clean decode failed: %v", soft, n, err)
+				}
+			}
+			allocs[i] = testing.AllocsPerRun(20, func() {
+				if _, err := decode(f, mcs, n, d); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		t.Logf("soft=%v: %v allocs at 10 octets, %v at 1000", soft, allocs[0], allocs[1])
+		if allocs[1] > allocs[0] {
+			t.Fatalf("soft=%v: %v allocs at 1000 octets > %v at 10", soft, allocs[1], allocs[0])
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/cmplx"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/coding"
@@ -61,33 +60,11 @@ func (StandardDecider) DecideSymbolSoft(f *Frame, symIdx int, cons *modem.Conste
 	return idxs, conf, nil
 }
 
-// softScratch is a soft decode's working set: the packet-wide LLR stream
-// and one worker's per-symbol buffers. Pooled, so steady-state soft
-// decoding reuses it; no slice outlives the decode that took it.
-type softScratch struct {
-	llrs   []float64 // packet LLR stream, Ncbps per symbol
-	bits   []byte    // one lattice point's bit label
-	blk    []float64 // one symbol's weights before deinterleaving
-	sorted []float64 // normalize's sort buffer
-	w      []float64 // normalize's output
-}
-
-var softPool = sync.Pool{New: func() any { return new(softScratch) }}
-
-// resize returns buf with length n, reallocating only when it is too
-// small. The contents are not preserved.
-func resize[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
-}
-
 // softSymbolLLRs decides symbol k on f with the soft decider and writes
 // the symbol's deinterleaved per-bit weights into dst (a Ncbps-sized slot
 // of the packet-wide LLR stream), using sc's per-symbol buffers.
 func softSymbolLLRs(f *Frame, soft SoftSymbolDecider, k int, cons *modem.Constellation,
-	il *coding.Interleaver, sc *softScratch, dst []float64) error {
+	il *coding.Interleaver, sc *decodeScratch, dst []float64) error {
 	idxs, conf, err := soft.DecideSymbolSoft(f, k, cons)
 	if err != nil {
 		return err
@@ -130,112 +107,21 @@ func decodeLLRData(llrs []float64, mcs wifi.MCS, psduLen, nSyms int) (Result, er
 // confidences as bit weights for the Viterbi decoder. Deciders that do not
 // implement SoftSymbolDecider fall back to hard (unit-weight) decoding.
 func DecodeDataSoft(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolDecider) (Result, error) {
-	soft, ok := decider.(SoftSymbolDecider)
-	if !ok {
-		return DecodeData(f, mcs, psduLen, decider)
-	}
-	nSyms := mcs.SymbolsForPSDU(psduLen)
-	cons := modem.New(mcs.Scheme)
-	il := coding.MustInterleaver(mcs.Ncbps, mcs.Nbpsc)
-
-	obsStart := time.Now()
-	sc := softPool.Get().(*softScratch)
-	defer softPool.Put(sc)
-	sc.llrs = resize(sc.llrs, nSyms*mcs.Ncbps)
-	for k := 0; k < nSyms; k++ {
-		if err := softSymbolLLRs(f, soft, k, cons, il, sc, sc.llrs[k*mcs.Ncbps:(k+1)*mcs.Ncbps]); err != nil {
-			return Result{}, fmt.Errorf("rx: symbol %d: %w", k, err)
-		}
-	}
-	stageObserve.ObserveSince(obsStart)
-	return decodeLLRData(sc.llrs, mcs, psduLen, nSyms)
+	return decodeData(f, mcs, psduLen, decider, 1, true)
 }
 
 // DecodeDataSoftParallel is DecodeDataSoft with the per-symbol soft
-// decisions fanned across up to workers goroutines, mirroring
-// DecodeDataParallel: each worker decides a stride of the symbol indices
-// on its own Frame.ScratchFork view and ForkDecider clone, and every
-// symbol's deinterleaved weights land in its own slot of the packet-wide
-// LLR stream, so the weights entering the Viterbi decoder — and therefore
-// the Result — are bit-identical to the serial path. It falls back to the
-// serial DecodeDataSoft when workers <= 1, the decider cannot fork (or a
-// fork loses the soft interface), and to the hard-decision
-// DecodeDataParallel when the decider has no soft interface at all.
+// decisions split across up to workers workers, as DecodeDataParallel
+// does for the hard path. The Result is bit-identical to DecodeDataSoft's
+// at any worker count.
 func DecodeDataSoftParallel(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolDecider, workers int) (Result, error) {
-	soft, ok := decider.(SoftSymbolDecider)
-	if !ok {
-		return DecodeDataParallel(f, mcs, psduLen, decider, workers)
-	}
-	nSyms := mcs.SymbolsForPSDU(psduLen)
-	if workers > nSyms {
-		workers = nSyms
-	}
-	pd, okP := decider.(ParallelDecider)
-	if workers <= 1 || !okP {
-		return DecodeDataSoft(f, mcs, psduLen, decider)
-	}
-	// Fork frames and deciders up front; any refusal falls back to serial
-	// before any goroutine starts.
-	frames := make([]*Frame, workers)
-	softs := make([]SoftSymbolDecider, workers)
-	frames[0], softs[0] = f, soft
-	for w := 1; w < workers; w++ {
-		fork, okF := pd.ForkDecider()
-		if !okF {
-			return DecodeDataSoft(f, mcs, psduLen, decider)
-		}
-		sfork, okS := fork.(SoftSymbolDecider)
-		if !okS {
-			return DecodeDataSoft(f, mcs, psduLen, decider)
-		}
-		fw, err := f.ScratchFork()
-		if err != nil {
-			return Result{}, err
-		}
-		frames[w], softs[w] = fw, sfork
-	}
-
-	obsStart := time.Now()
-	sc := softPool.Get().(*softScratch)
-	defer softPool.Put(sc)
-	sc.llrs = resize(sc.llrs, nSyms*mcs.Ncbps)
-	llrs := sc.llrs
-	errs := make([]error, nSyms)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			frame, dec := frames[w], softs[w]
-			cons := modem.New(mcs.Scheme)
-			il := coding.MustInterleaver(mcs.Ncbps, mcs.Nbpsc)
-			ws := sc
-			if w > 0 {
-				ws = softPool.Get().(*softScratch)
-				defer softPool.Put(ws)
-			}
-			for k := w; k < nSyms; k += workers {
-				if err := softSymbolLLRs(frame, dec, k, cons, il, ws, llrs[k*mcs.Ncbps:(k+1)*mcs.Ncbps]); err != nil {
-					errs[k] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			return Result{}, fmt.Errorf("rx: symbol %d: %w", k, err)
-		}
-	}
-	stageObserve.ObserveSince(obsStart)
-	return decodeLLRData(llrs, mcs, psduLen, nSyms)
+	return decodeData(f, mcs, psduLen, decider, workers, true)
 }
 
 // normalize maps raw confidences to weights with median 1, clipped to
 // [0, 4] so a few very confident subcarriers cannot drown the rest of the
 // trellis. The weights live in s.w until the next call.
-func (s *softScratch) normalize(conf []float64) []float64 {
+func (s *decodeScratch) normalize(conf []float64) []float64 {
 	s.sorted = append(s.sorted[:0], conf...)
 	sort.Float64s(s.sorted)
 	med := s.sorted[len(s.sorted)/2]

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/channel"
-	"repro/internal/coding"
 	"repro/internal/modem"
 	"repro/internal/wifi"
 )
@@ -92,7 +91,7 @@ func TestDecodeDataSoftFallsBackForHardDecider(t *testing.T) {
 }
 
 func TestNormalizeConfidences(t *testing.T) {
-	var sc softScratch
+	var sc decodeScratch
 	w := sc.normalize([]float64{0, 1, 2, 100})
 	if w[0] != 0 {
 		t.Fatal("zero stays zero")
@@ -110,17 +109,20 @@ func TestNormalizeConfidences(t *testing.T) {
 }
 
 // poisonSoftScratch fills every buffer of sc, to full capacity, with NaN
-// (0xff for the bit label), so a decode that read stale scratch would
+// (0xff for the bit buffers), so a decode that read stale scratch would
 // show it.
-func poisonSoftScratch(sc *softScratch) {
+func poisonSoftScratch(sc *decodeScratch) {
 	for _, buf := range [][]float64{sc.llrs, sc.blk, sc.sorted, sc.w} {
 		buf = buf[:cap(buf)]
 		for i := range buf {
 			buf[i] = math.NaN()
 		}
 	}
-	for i := range sc.bits[:cap(sc.bits)] {
-		sc.bits[:cap(sc.bits)][i] = 0xff
+	for _, buf := range [][]byte{sc.coded, sc.bits} {
+		buf = buf[:cap(buf)]
+		for i := range buf {
+			buf[i] = 0xff
+		}
 	}
 }
 
@@ -150,14 +152,17 @@ func TestSoftScratchReuse(t *testing.T) {
 		}
 		pkts = append(pkts, pkt{f, mcs, c.len, want})
 	}
-	used := new(softScratch)
+	used := new(decodeScratch)
 	for _, p := range append(pkts, pkts[0]) {
 		cons := modem.New(p.mcs.Scheme)
-		il := coding.MustInterleaver(p.mcs.Ncbps, p.mcs.Nbpsc)
+		il, err := wifi.DataInterleaver(p.mcs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for k := 0; k < 3; k++ {
 			want := make([]float64, p.mcs.Ncbps)
 			got := make([]float64, p.mcs.Ncbps)
-			if err := softSymbolLLRs(p.f, StandardDecider{}, k, cons, il, new(softScratch), want); err != nil {
+			if err := softSymbolLLRs(p.f, StandardDecider{}, k, cons, il, new(decodeScratch), want); err != nil {
 				t.Fatal(err)
 			}
 			poisonSoftScratch(used)
@@ -172,9 +177,9 @@ func TestSoftScratchReuse(t *testing.T) {
 		}
 	}
 	for i, p := range []pkt{pkts[0], pkts[1], pkts[0]} {
-		sc := softPool.Get().(*softScratch)
+		sc := decodePool.Get().(*decodeScratch)
 		poisonSoftScratch(sc)
-		softPool.Put(sc)
+		decodePool.Put(sc)
 		got, err := DecodeDataSoft(p.f, p.mcs, p.len, StandardDecider{})
 		if err != nil {
 			t.Fatal(err)

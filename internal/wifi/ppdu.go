@@ -142,7 +142,7 @@ func BuildPPDUInto(buf []complex128, cfg TxConfig, psdu []byte) (PPDU, error) {
 	s.coded = coding.AppendConvEncode(s.coded[:0], bits)
 	s.punct = coding.AppendPuncture(s.punct[:0], s.coded, cfg.MCS.Rate)
 	coded := s.punct
-	il, err := dataInterleaver(cfg.MCS)
+	il, err := DataInterleaver(cfg.MCS)
 	if err != nil {
 		return PPDU{}, err
 	}
@@ -197,7 +197,8 @@ func (s *txScratch) modulator(g ofdm.Grid) (*ofdm.Modulator, error) {
 }
 
 // mcsInterleavers holds the DATA-field interleaver of each standardMCS
-// entry, shared by every encoder since it is immutable once built. Each
+// entry, shared by every encoder and decoder since it is immutable once
+// built. Each
 // is built on first use, so only the rates a program transmits stay on
 // the heap.
 var mcsInterleavers [len(standardMCS)]func() *coding.Interleaver
@@ -208,9 +209,11 @@ func init() {
 	}
 }
 
-// dataInterleaver returns the DATA-field interleaver for m's block shape:
-// the shared one for a standard shape, a fresh one otherwise.
-func dataInterleaver(m MCS) (*coding.Interleaver, error) {
+// DataInterleaver returns the DATA-field interleaver for m's block shape:
+// the shared one for a standard shape, a fresh one otherwise. The
+// transmitter interleaves and the receiver deinterleaves through it; it is
+// immutable, so concurrent use is safe.
+func DataInterleaver(m MCS) (*coding.Interleaver, error) {
 	for i, sm := range standardMCS {
 		if sm.Ncbps == m.Ncbps && sm.Nbpsc == m.Nbpsc {
 			return mcsInterleavers[i](), nil

@@ -246,7 +246,10 @@ func decodePPDU(t *testing.T, p *PPDU) []byte {
 	g := p.Cfg.Grid
 	d := ofdm.MustDemodulator(g)
 	cons := modem.New(p.Cfg.MCS.Scheme)
-	il := coding.MustInterleaver(p.Cfg.MCS.Ncbps, p.Cfg.MCS.Nbpsc)
+	il, err := DataInterleaver(p.Cfg.MCS)
+	if err != nil {
+		t.Fatal(err)
+	}
 	scs := ofdm.DataSubcarriers()
 	var coded []byte
 	for k := 0; k < p.NumDataSymbols; k++ {
