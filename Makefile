@@ -44,7 +44,7 @@ test-race-sweep:
 # pool) plus a 2-worker parallel-decode equivalence check, as run in CI.
 smoke:
 	$(GO) run ./cmd/cprecycle-bench -experiment fig8 -packets 8 -bytes 60 -pool
-	$(GO) test -run 'TestDecodeDataParallelMatchesSerial|TestRunPSRParallelDecodeRegression' ./internal/rx/ ./internal/experiments/
+	$(GO) test -run 'TestDecodeData(Soft)?Parallel(MatchesSerial|Fallbacks)|TestRunPSRParallelDecodeRegression' ./internal/rx/ ./internal/experiments/
 
 # Distributed smoke: coordinator + two worker processes on localhost run
 # the same short fig8 sweep, streamed over SSE, and the final table must

@@ -75,16 +75,23 @@ type softForkLoser struct{ StandardDecider }
 
 func (softForkLoser) ForkDecider() (SymbolDecider, bool) { return hardOnlyDecider{}, true }
 
-// TestDecodeDataParallelMatchesSerial pins the parallel decode to the
-// serial one bit for bit, hard and soft, across worker counts (including
-// counts that exceed the symbol count) and across deciders that exercise
-// every fallback: one that refuses to fork, one that is not a
-// ParallelDecider, one without the soft interface, and one whose forks
-// lose it. A soft decode of a decider without the soft interface must
-// match the hard decode. The low-SNR frame makes some symbols carry bit
-// errors and some confidences genuinely informative, so the merge is
-// checked on streams that change the trellis, not just on a clean packet.
-func TestDecodeDataParallelMatchesSerial(t *testing.T) {
+// checkParallelMatchesSerial pins the parallel decode (soft or hard) to
+// the serial one bit for bit across worker counts, including counts that
+// exceed the symbol count. With fallbacks false it runs the standard
+// decider; with fallbacks true it runs the deciders that exercise every
+// fallback: one that refuses to fork, one that is not a ParallelDecider
+// (which must see every symbol, serially), one without the soft
+// interface, and one whose forks lose it. A soft decode of a decider
+// without the soft interface must match the hard decode. The low-SNR
+// frame makes some symbols carry bit errors and some confidences
+// genuinely informative, so the merge is checked on streams that change
+// the trellis, not just on a clean packet.
+func checkParallelMatchesSerial(t *testing.T, soft, fallbacks bool) {
+	t.Helper()
+	decode := DecodeDataParallel
+	if soft {
+		decode = DecodeDataSoftParallel
+	}
 	for _, snr := range []float64{30, 4} {
 		f, m, _ := parallelTestFrame(t, snr)
 		nSyms := m.SymbolsForPSDU(100)
@@ -96,44 +103,60 @@ func TestDecodeDataParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, soft := range []bool{false, true} {
-			decode := DecodeDataParallel
-			if soft {
-				decode = DecodeDataSoftParallel
+		for _, workers := range []int{1, 2, 3, 7, 1000} {
+			counter := &countingDecider{}
+			for _, c := range []struct {
+				name     string
+				decider  SymbolDecider
+				soft     bool // decodes soft when asked to
+				fallback bool
+			}{
+				{"standard", StandardDecider{}, true, false},
+				{"fork-refuser", forkRefuser{}, true, true},
+				{"non-parallel counter", counter, false, true},
+				{"hard-only", hardOnlyDecider{}, false, true},
+				{"soft-fork-loser", softForkLoser{}, true, true},
+			} {
+				if c.fallback != fallbacks {
+					continue
+				}
+				want := wantHard
+				if soft && c.soft {
+					want = wantSoft
+				}
+				got, err := decode(f, m, 100, c.decider, workers)
+				if err != nil {
+					t.Fatalf("snr=%v soft=%v workers=%d %s: %v", snr, soft, workers, c.name, err)
+				}
+				if !bytes.Equal(got.PSDU, want.PSDU) || got.FCSOK != want.FCSOK || got.ScramblerSeed != want.ScramblerSeed {
+					t.Fatalf("snr=%v soft=%v workers=%d %s: decode diverged from serial", snr, soft, workers, c.name)
+				}
 			}
-			for _, workers := range []int{1, 2, 3, 7, 1000} {
-				counter := &countingDecider{}
-				for _, c := range []struct {
-					name    string
-					decider SymbolDecider
-					soft    bool // decodes soft when asked to
-				}{
-					{"standard", StandardDecider{}, true},
-					{"fork-refuser", forkRefuser{}, true},
-					{"non-parallel counter", counter, false},
-					{"hard-only", hardOnlyDecider{}, false},
-					{"soft-fork-loser", softForkLoser{}, true},
-				} {
-					want := wantHard
-					if soft && c.soft {
-						want = wantSoft
-					}
-					got, err := decode(f, m, 100, c.decider, workers)
-					if err != nil {
-						t.Fatalf("snr=%v soft=%v workers=%d %s: %v", snr, soft, workers, c.name, err)
-					}
-					if !bytes.Equal(got.PSDU, want.PSDU) || got.FCSOK != want.FCSOK || got.ScramblerSeed != want.ScramblerSeed {
-						t.Fatalf("snr=%v soft=%v workers=%d %s: decode diverged from serial", snr, soft, workers, c.name)
-					}
-				}
-				if counter.calls != nSyms {
-					t.Fatalf("snr=%v soft=%v workers=%d: non-parallel decider saw %d calls, want %d (serial fallback)",
-						snr, soft, workers, counter.calls, nSyms)
-				}
+			if fallbacks && counter.calls != nSyms {
+				t.Fatalf("snr=%v soft=%v workers=%d: non-parallel decider saw %d calls, want %d (serial fallback)",
+					snr, soft, workers, counter.calls, nSyms)
 			}
 		}
 	}
 }
+
+// TestDecodeDataParallelMatchesSerial pins the hard parallel decode of
+// the standard decider to the serial one.
+func TestDecodeDataParallelMatchesSerial(t *testing.T) { checkParallelMatchesSerial(t, false, false) }
+
+// TestDecodeDataParallelFallbacks checks the hard decode's serial
+// fallbacks against the serial decode.
+func TestDecodeDataParallelFallbacks(t *testing.T) { checkParallelMatchesSerial(t, false, true) }
+
+// TestDecodeDataSoftParallelMatchesSerial pins the soft parallel decode
+// of the standard decider to the serial soft one.
+func TestDecodeDataSoftParallelMatchesSerial(t *testing.T) {
+	checkParallelMatchesSerial(t, true, false)
+}
+
+// TestDecodeDataSoftParallelFallbacks checks the soft decode's fallbacks:
+// hard-only deciders match the hard decode, the rest the serial soft one.
+func TestDecodeDataSoftParallelFallbacks(t *testing.T) { checkParallelMatchesSerial(t, true, true) }
 
 // failingDecider is a stateless parallel soft decider that fails at
 // every symbol from at on, so several workers can fail at once.
