@@ -143,7 +143,7 @@ func (c *submitClient) showStatus() error {
 
 // listWorkers prints the coordinator's worker registry (-fleet).
 func (c *submitClient) listWorkers() error {
-	infos, err := dist.ListWorkers(context.Background(), c.Client)
+	infos, err := api.ListAll[dist.WorkerInfo](context.Background(), c.Client, "/v1/dist/workers")
 	if err != nil {
 		return err
 	}
@@ -153,8 +153,8 @@ func (c *submitClient) listWorkers() error {
 	}
 	for _, wi := range infos {
 		// prog is how long since the worker's freshest lease advanced a
-		// packet — the wedged-worker tell the supervisor's stuck detector
-		// keys on; "-" for workers holding no live lease.
+		// packet — the wedged-worker tell an operator drains or revokes
+		// on; "-" for workers holding no live lease.
 		prog := "-"
 		if wi.LastProgressSec >= 0 {
 			prog = (time.Duration(wi.LastProgressSec) * time.Second).Round(time.Second).String()
@@ -170,7 +170,7 @@ func (c *submitClient) listWorkers() error {
 // workerAction drives the coordinator's worker-lifecycle admin
 // endpoints (-drain / -revoke), printing what the action means.
 func (c *submitClient) workerAction(id, action string) error {
-	if err := dist.WorkerAction(context.Background(), c.Client, id, action); err != nil {
+	if err := c.Call(context.Background(), http.MethodPost, "/v1/dist/workers/"+id+"/"+action, nil, nil); err != nil {
 		return err
 	}
 	desc := "draining (finishes its in-flight lease, then deregisters)"

@@ -28,7 +28,6 @@
 //	cprecycle-bench -submit -join http://host:8080 -experiment fig8
 //	cprecycle-bench -fleet -join http://host:8080            # list workers
 //	cprecycle-bench -drain w1 -join http://host:8080         # graceful scale-down
-//	cprecycle-bench -supervisor -join http://host:8080       # self-scaling fleet
 //	cprecycle-bench -list
 //
 // # The result store
@@ -81,8 +80,8 @@
 // processes instead. Both modes serve the same job shape — engine and
 // coordinator jobs share one event log (sweep.JobLog) — through one SSE
 // writer (api.ServeSSE, also behind the fleet stream), and every client
-// mode here (-submit, -fleet, -drain, -revoke, -worker, -supervisor)
-// speaks through one /v1 client (api.Client). The complete /v1 surface (jobs + history + worker
+// mode here (-submit, -fleet, -drain, -revoke, -worker) speaks through
+// one /v1 client (api.Client). The complete /v1 surface (jobs + history + worker
 // tier + observability — the history and dist endpoints appear only on
 // servers run with -store / -coordinator respectively):
 //
@@ -207,7 +206,7 @@
 // — or drive it from the coordinator side:
 //
 //	A$ cprecycle-bench -fleet -join http://localhost:8080 -token S
-//	w1  B:4242  active    leases=1  granted=12  age=1h2m
+//	w1   B:4242               active    leases=1   granted=12    age=1h2m0s   idle=2s       prog=3s
 //	A$ cprecycle-bench -drain w1 -join http://localhost:8080 -token S
 //
 // Either way the worker completes its in-flight lease (the result is
@@ -227,43 +226,11 @@
 // grant/expiry, job submit/done) as SSE with Last-Event-ID resume, for
 // dashboards.
 //
-// # Running a self-scaling fleet
-//
-// -supervisor turns the manual scale-up/scale-down above into a control
-// loop (internal/sweep/supervise): the supervisor watches the
-// coordinator's queue depth and per-point latency estimate and spawns
-// or drains local -worker processes so the pending queue drains in
-// roughly half a minute, between -min-workers and -max-workers:
-//
-//	A$ cprecycle-bench -coordinator :8080 -store /var/lib/cpr -token S
-//	A$ cprecycle-bench -supervisor -join http://localhost:8080 -token S \
-//	       -max-workers 8 -worker-logs /var/log/cpr -obs :9091
-//	A$ cprecycle-bench -submit -join http://localhost:8080 -token S \
-//	       -experiment fig8 -packets 2000 -bytes 400
-//
-// Submitting work scales the fleet up (the supervisor reacts to the
-// fleet event stream, not a polling interval); an idle fleet scales
-// back down to -min-workers, 0 by default. Spawned workers are this
-// binary re-invoked in -worker mode — -token, -workers, -shard,
-// -mem-budget, -cpu-budget and the logging flags propagate — each
-// logging to <worker-logs>/<name>.log with its pid in <name>.pid.
-// Scale-down always uses graceful drain, never revocation, so
-// completed work is never re-queued by the autoscaler.
-//
-// The supervisor also heals the fleet. A worker process that dies is
-// replaced after a jittered exponential backoff; a worker that crashes
-// repeatedly (-max-workers instant-exit loops, a bad binary) trips a
-// circuit breaker that quarantines spawning for a few minutes instead
-// of thrashing. A worker that heartbeats dutifully while its lease
-// makes zero point progress — deadlocked, SIGSTOPped, livelocked; the
-// failure TTLs cannot see — is drained after -stuck-after, and revoked
-// if it ignores the drain, re-queueing its lease (`-fleet` shows each
-// worker's progress age in the prog= column). The supervisor itself is
-// stateless: kill -9 it, restart it, and it re-adopts the workers it
-// finds registered — never spawning duplicates — because the
-// coordinator's registry and event stream are the only state it reads.
-// SIGTERM drains every worker it spawned, then exits; workers it
-// merely adopted keep running.
+// Nothing drains a wedged worker automatically. A worker that keeps
+// heartbeating while its lease makes no point progress (deadlocked,
+// SIGSTOPped) never trips the lease TTL, but -fleet shows it: its prog=
+// age (seconds since its freshest lease last advanced a packet) grows
+// while idle= stays small. Drain or revoke it by hand.
 //
 // -cpu-budget N (cores) is the CPU twin of -mem-budget: the worker
 // samples its own process CPU time (/proc/self/stat on Linux, the Go
@@ -315,7 +282,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -325,7 +291,6 @@ import (
 	"repro/internal/sweep/dist"
 	"repro/internal/sweep/history"
 	"repro/internal/sweep/store"
-	"repro/internal/sweep/supervise"
 )
 
 // lg is the process logger, reconfigured in main from -log-level and
@@ -383,7 +348,7 @@ func main() {
 		token     = flag.String("token", "", "fleet join secret: enforced by -serve/-coordinator when set, presented by -worker/-submit and the fleet admin flags")
 		memBudget = flag.Int64("mem-budget", 0, "worker heap budget in MiB: the worker samples runtime/metrics heap use and gracefully self-drains when it exceeds the budget; 0 = unlimited")
 		cpuBudget = flag.Float64("cpu-budget", 0, "worker CPU budget in cores: the worker samples its own process CPU time (/proc/self/stat, falling back to runtime metrics) and gracefully self-drains when the rate stays over budget; 0 = unlimited")
-		wkrName   = flag.String("worker-name", "", "worker: self-reported fleet name (default host:pid); the supervisor names its spawns with this")
+		wkrName   = flag.String("worker-name", "", "worker: self-reported fleet name (default host:pid)")
 		longPoll  = flag.Duration("long-poll", 0, "coordinator: park lease requests up to this long waiting for work; 0 = default (30s)")
 		leasePts  = flag.Int("lease-points", 0, "pin every worker lease to this many plan points; 0 = adaptive sizing toward -lease-target of wall-clock work")
 		leaseTgt  = flag.Duration("lease-target", 0, "wall-clock work an adaptive lease aims for; 0 = default (4× heartbeat interval)")
@@ -391,13 +356,7 @@ func main() {
 
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		logJSON  = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
-		obsAddr  = flag.String("obs", "", "worker/supervisor: serve /metrics, /debug/pprof and /v1/status on this address (guarded by -token; -serve and -coordinator expose them on their API address)")
-
-		supFlg     = flag.Bool("supervisor", false, "run the autoscaling fleet supervisor against the -join coordinator: spawn and drain local -worker processes to track queue demand, detect stuck leases, quarantine crash loops")
-		minWorkers = flag.Int("min-workers", 0, "supervisor: never scale the fleet below this many workers (0 lets an idle fleet scale to zero)")
-		maxWorkers = flag.Int("max-workers", 4, "supervisor: ceiling on concurrently running workers")
-		workerLogs = flag.String("worker-logs", "", "supervisor: directory for spawned workers' per-worker .log and .pid files (empty: workers inherit the supervisor's stdout/stderr, no pid files)")
-		stuckAfter = flag.Duration("stuck-after", 0, "supervisor: drain a worker whose lease makes zero point progress for this long, escalating to revocation if the drain is ignored; 0 = default (2m)")
+		obsAddr  = flag.String("obs", "", "worker: serve /metrics, /debug/pprof and /v1/status on this address (guarded by -token; -serve and -coordinator expose them on their API address)")
 
 		fleetFlg = flag.Bool("fleet", false, "list the -join coordinator's registered workers and exit")
 		drainID  = flag.String("drain", "", "gracefully drain worker ID on the -join coordinator (finish in-flight lease, deregister) and exit")
@@ -506,79 +465,6 @@ func main() {
 				return // drained (or revoked) and deregistered
 			}
 		}
-	}
-
-	if *supFlg {
-		if *join == "" {
-			fmt.Fprintln(os.Stderr, "-supervisor requires -join URL")
-			os.Exit(1)
-		}
-		self, err := os.Executable()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		// Spawned workers are this binary re-invoked in -worker mode, with
-		// the resource and logging flags propagated; the spawner appends
-		// each worker's -worker-name.
-		cmd := []string{self, "-worker", "-join", *join, "-log-level", *logLevel}
-		if *token != "" {
-			cmd = append(cmd, "-token", *token)
-		}
-		if *logJSON {
-			cmd = append(cmd, "-log-json")
-		}
-		if *workers > 0 {
-			cmd = append(cmd, "-workers", strconv.Itoa(*workers))
-		}
-		if *shardPk > 0 {
-			cmd = append(cmd, "-shard", strconv.Itoa(*shardPk))
-		}
-		if *memBudget > 0 {
-			cmd = append(cmd, "-mem-budget", strconv.FormatInt(*memBudget, 10))
-		}
-		if *cpuBudget > 0 {
-			cmd = append(cmd, "-cpu-budget", strconv.FormatFloat(*cpuBudget, 'g', -1, 64))
-		}
-		s, err := supervise.Start(supervise.Config{
-			Coordinator: *join,
-			Token:       *token,
-			Spawner:     &supervise.LocalSpawner{Command: cmd, LogDir: *workerLogs},
-			MinWorkers:  *minWorkers,
-			MaxWorkers:  *maxWorkers,
-			StuckAfter:  *stuckAfter,
-			Log:         lg,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *obsAddr != "" {
-			go func() {
-				if err := listen(*obsAddr, api.BearerAuth(*token, supervisorObsHandler(s)), "supervisor observability"); err != nil {
-					lg.Error("supervisor observability server", "err", err)
-				}
-			}()
-		}
-		fmt.Printf("supervising %s (min %d, max %d workers; SIGTERM drains spawned workers and exits)\n",
-			*join, *minWorkers, *maxWorkers)
-		sigc := make(chan os.Signal, 2)
-		signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-		<-sigc
-		lg.Info("signal: draining spawned workers (send again to hard-stop)", "component", "supervisor")
-		done := make(chan struct{})
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-			defer cancel()
-			s.Shutdown(ctx)
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-sigc:
-			lg.Warn("hard stop: spawned workers left running (a successor supervisor will adopt them)", "component", "supervisor")
-		}
-		return
 	}
 
 	if *fleetFlg || *drainID != "" || *revokeID != "" {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sweep"
 	"repro/internal/sweep/dist"
-	"repro/internal/sweep/supervise"
 )
 
 // processStart anchors the uptime reported by /v1/status.
@@ -40,15 +39,14 @@ type jobsSummary struct {
 // metric, so `cprecycle-bench -fleet` (or curl | jq) sees the whole
 // process in one read.
 type statusSnapshot struct {
-	Mode       string             `json:"mode"` // "engine" | "coordinator" | "worker" | "supervisor"
-	UptimeSec  float64            `json:"uptime_sec"`
-	Runtime    runtimeStats       `json:"runtime"`
-	Jobs       jobsSummary        `json:"jobs"`
-	Fleet      *dist.FleetStats   `json:"fleet,omitempty"`
-	Workers    []dist.WorkerInfo  `json:"workers,omitempty"`
-	Worker     *dist.WorkerStats  `json:"worker,omitempty"`
-	Supervisor *supervise.Stats   `json:"supervisor,omitempty"`
-	Metrics    map[string]float64 `json:"metrics"`
+	Mode      string             `json:"mode"` // "engine" | "coordinator" | "worker"
+	UptimeSec float64            `json:"uptime_sec"`
+	Runtime   runtimeStats       `json:"runtime"`
+	Jobs      jobsSummary        `json:"jobs"`
+	Fleet     *dist.FleetStats   `json:"fleet,omitempty"`
+	Workers   []dist.WorkerInfo  `json:"workers,omitempty"`
+	Worker    *dist.WorkerStats  `json:"worker,omitempty"`
+	Metrics   map[string]float64 `json:"metrics"`
 }
 
 func runtimeSnapshot() runtimeStats {
@@ -105,20 +103,6 @@ func obsRoutes(mux *http.ServeMux, status func() statusSnapshot, extras ...func(
 			writeJSON(w, http.StatusOK, status())
 		})
 	}
-}
-
-// supervisorObsHandler is the supervisor's -obs side server: the
-// cpr_supervisor_* families next to the registry metrics, pprof and a
-// supervisor-mode status snapshot (control-loop gauges and counters).
-func supervisorObsHandler(s *supervise.Supervisor) http.Handler {
-	mux := http.NewServeMux()
-	obsRoutes(mux, func() statusSnapshot {
-		snap := newStatus("supervisor", nil)
-		st := s.Stats()
-		snap.Supervisor = &st
-		return snap
-	}, s.WritePrometheus)
-	return mux
 }
 
 // workerObsHandler is the worker's -obs side server: metrics (engine

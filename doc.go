@@ -89,8 +89,8 @@
 // diffed point-by-point from stored tallies alone. The HTTP plumbing
 // every /v1 tier shares — the {"error":{"code","message"}} envelope,
 // bearer auth, limit/cursor pagination, the one SSE writer and reader
-// behind both event streams, and the one /v1 client the CLI, the
-// supervisor and the dist worker speak through — lives in internal/api.
+// behind both event streams, and the one /v1 client the CLI and the
+// dist worker speak through — lives in internal/api.
 //
 // The service scales across processes and machines through
 // internal/sweep/dist: a coordinator decomposes each job into point-range
@@ -128,25 +128,15 @@
 // drain and revocation — is pinned by the dist package tests and the
 // end-to-end chaos smoke (make smoke-dist).
 //
-// The fleet drives itself through internal/sweep/supervise: an
-// autoscaling supervisor — a stateless observe/decide/actuate control
-// loop over the coordinator's admin API and fleet event stream — spawns
-// and drains worker processes so the pending queue drains in a target
-// wall-clock at the observed per-point latency, replaces crashed
-// workers under jittered exponential backoff behind a crash-loop
-// circuit breaker, and detects stuck workers the TTL machinery cannot
-// see (heartbeating leases with zero point progress, registered
-// workers silent beyond the long-poll bound), draining them and
-// escalating ignored drains to revocation. Scale-down is always
-// graceful drain, never revocation; kill -9 the supervisor and a
-// successor rebuilds its world view from the registry, adopting
-// orphans instead of duplicating them. The cmd/cprecycle-bench command
-// routes the sweep figures
-// through the engine and serves both tiers over HTTP (-serve,
-// -coordinator / -worker / -submit / -supervisor, fleet admin via
-// -fleet / -drain /
-// -revoke), with per-point SSE streaming on /v1/jobs/{id}/events and a
-// fleet-wide lifecycle stream on /v1/dist/events (events carry their seq
+// The fleet is sized by hand. Each lease records when a heartbeat last
+// advanced its packet count, so a worker that heartbeats while making
+// no progress shows a growing progress age on the worker registry and
+// in the fleet stats; an operator drains or revokes it. The
+// cmd/cprecycle-bench command routes the sweep figures through the
+// engine and serves both tiers over HTTP (-serve, -coordinator /
+// -worker / -submit, fleet admin via -fleet / -drain / -revoke), with
+// per-point SSE streaming on /v1/jobs/{id}/events and a fleet-wide
+// lifecycle stream on /v1/dist/events (events carry their seq
 // as the SSE id; reconnecting consumers present Last-Event-ID and resume
 // mid-stream instead of replaying every event); see that package's
 // comment for the spec format, endpoints, protocol and quickstart.
@@ -162,9 +152,7 @@
 // coordinator and worker render instance-scoped fleet series (cpr_dist_*:
 // workers by state, in-flight leases, queue depth, the adaptive lease
 // estimate, oldest lease-progress age, expiry/re-queue/revocation and
-// SSE-drop counters), and the supervisor its control-loop series
-// (cpr_supervisor_*: target/live worker gauges, spawn/crash/quarantine,
-// scale-down and stuck-detection counters). Every
+// SSE-drop counters). Every
 // serving mode exposes GET /metrics and authenticated /debug/pprof
 // handlers, plus GET /v1/status — a one-call JSON dashboard that
 // `cprecycle-bench -fleet` renders. Logging is structured (log/slog)

@@ -14,14 +14,11 @@
 // "cpr_" prefix and a subsystem segment: cpr_sweep_* for the sweep/
 // packet hot path (internal/experiments, internal/rx, internal/sweep),
 // cpr_dist_* for the distributed tier (internal/sweep/dist),
-// cpr_store_* for the result store, cpr_history_* for the results-
-// history index, and cpr_supervisor_* for the autoscaling supervisor's
-// control loop (internal/sweep/supervise: target/live gauges, spawn,
-// crash, quarantine, scale-down and stuck-detection counters), with
-// _total suffixes on counters and _seconds units on histograms. Label
-// values are closed sets known at init (e.g. stage="observe") — never
-// unbounded identifiers like job or worker ids, which belong in logs
-// and events, not in metric cardinality.
+// cpr_store_* for the result store and cpr_history_* for the results-
+// history index, with _total suffixes on counters and _seconds units on
+// histograms. Label values are closed sets known at init (e.g.
+// stage="observe") — never unbounded identifiers like job or worker
+// ids, which belong in logs and events, not in metric cardinality.
 package obs
 
 import (

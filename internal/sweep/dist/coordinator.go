@@ -163,10 +163,8 @@ type Coordinator struct {
 	store *store.Store
 
 	mu        sync.Mutex
-	jobs      map[string]*Job
-	order     []string
+	jobs      sweep.JobTable[*Job]
 	leaseJobs map[string]string // lease id → job id
-	nextID    int
 	closed    bool
 
 	// Worker registry. Lock order: j.mu may be held when taking wmu;
@@ -204,7 +202,6 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:       cfg,
 		log:       cfg.Log.With("component", "coordinator"),
 		planPool:  wifi.NewWaveformPool(cfg.PoolSize, cfg.PoolSeed),
-		jobs:      make(map[string]*Job),
 		leaseJobs: make(map[string]string),
 		workers:   make(map[string]*workerState),
 		wakeCh:    make(chan struct{}),
@@ -296,7 +293,7 @@ func (c *Coordinator) replayManifests() error {
 	}
 	// Replay in submission order (jN ids sort numerically), and continue
 	// numbering after the highest replayed id.
-	sort.Slice(ids, func(a, b int) bool { return jobSeq(ids[a]) < jobSeq(ids[b]) })
+	sort.Slice(ids, func(a, b int) bool { return sweep.JobSeq(ids[a]) < sweep.JobSeq(ids[b]) })
 	for _, id := range ids {
 		path := c.manifestPath(id)
 		data, err := os.ReadFile(path)
@@ -310,9 +307,7 @@ func (c *Coordinator) replayManifests() error {
 			// could resume, so skip it (the file is left for inspection) —
 			// but still burn its id so a future Submit cannot collide.
 			c.log.Warn("skipping unreadable manifest", "path", path, "err", err)
-			if s := jobSeq(id); s > c.nextID {
-				c.nextID = s
-			}
+			c.jobs.Burn(id)
 			continue
 		}
 		if hdr.Spec.Pool && (hdr.PoolSize != c.cfg.PoolSize || hdr.PoolSeed != c.cfg.PoolSeed) {
@@ -330,20 +325,10 @@ func (c *Coordinator) replayManifests() error {
 		j.mu.Lock()
 		restored := j.absorbStoreLocked(false)
 		j.mu.Unlock()
-		c.jobs[id] = j
-		c.order = append(c.order, id)
-		if s := jobSeq(id); s >= c.nextID {
-			c.nextID = s
-		}
+		c.jobs.Insert(id, j)
 		c.log.Info("replayed job from store", "job", id, "restored", restored, "points", len(j.points))
 	}
 	return nil
-}
-
-// jobSeq extracts the numeric part of a "jN" job id (0 when foreign).
-func jobSeq(id string) int {
-	n, _ := strconv.Atoi(strings.TrimPrefix(id, "j"))
-	return n
 }
 
 // newJob plans a spec into an un-registered job (no ID, no manifest yet).
@@ -398,10 +383,7 @@ func (c *Coordinator) Submit(spec sweep.Spec) (*Job, error) {
 		j.Finish(nil, nil, err) // releases the job's store pins
 		return nil, err
 	}
-	c.nextID++
-	j.ID = fmt.Sprintf("j%d", c.nextID)
-	c.jobs[j.ID] = j
-	c.order = append(c.order, j.ID)
+	j.ID = c.jobs.Add(j)
 	c.mu.Unlock()
 
 	if path := c.manifestPath(j.ID); path != "" {
@@ -441,18 +423,14 @@ func (c *Coordinator) Submit(spec sweep.Spec) (*Job, error) {
 func (c *Coordinator) Job(id string) *Job {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.jobs[id]
+	return c.jobs.Get(id)
 }
 
 // Jobs returns every job in submission order.
 func (c *Coordinator) Jobs() []*Job {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*Job, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.jobs[id])
-	}
-	return out
+	return c.jobs.List()
 }
 
 // Remove cancels a running job, forgets it, and deletes its manifest (a
@@ -462,15 +440,8 @@ func (c *Coordinator) Jobs() []*Job {
 // existed.
 func (c *Coordinator) Remove(id string) bool {
 	c.mu.Lock()
-	j, ok := c.jobs[id]
+	j, ok := c.jobs.Remove(id)
 	if ok {
-		delete(c.jobs, id)
-		for i, oid := range c.order {
-			if oid == id {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
-		}
 		for lid, jid := range c.leaseJobs {
 			if jid == id {
 				delete(c.leaseJobs, lid)
@@ -610,8 +581,7 @@ func (c *Coordinator) untrackLease(workerID, leaseID string) {
 // registration. Each info carries the worker's point-progress age — the
 // seconds since the freshest of its live leases last advanced its
 // heartbeat packet count (−1 with no live lease) — so the -fleet
-// dashboard and the supervisor's stuck-lease detector can tell a busy
-// worker from a wedged one. The registry is snapshotted under wmu first
+// dashboard can tell a busy worker from a wedged one. The registry is snapshotted under wmu first
 // and lease progress resolved per job afterwards (j.mu must never be
 // taken under wmu).
 func (c *Coordinator) WorkerInfos() []WorkerInfo {
@@ -658,8 +628,14 @@ func (c *Coordinator) WorkerInfos() []WorkerInfo {
 			out[i].LastProgressSec = age
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return jobSeq(out[a].ID) < jobSeq(out[b].ID) })
+	sort.Slice(out, func(a, b int) bool { return workerSeq(out[a].ID) < workerSeq(out[b].ID) })
 	return out
+}
+
+// workerSeq returns the registration number of a "wN" worker id.
+func workerSeq(id string) int {
+	n, _ := strconv.Atoi(strings.TrimPrefix(id, "w"))
+	return n
 }
 
 // DrainWorker marks a worker draining: it finishes its in-flight lease,
@@ -800,10 +776,7 @@ func (c *Coordinator) tryLease(ws *workerState) *Lease {
 		c.mu.Unlock()
 		return nil
 	}
-	jobs := make([]*Job, 0, len(c.order))
-	for _, id := range c.order {
-		jobs = append(jobs, c.jobs[id])
-	}
+	jobs := c.jobs.List()
 	c.mu.Unlock()
 	now := time.Now()
 	share := c.activeWorkers()
@@ -819,10 +792,7 @@ func (c *Coordinator) tryLease(ws *workerState) *Lease {
 // jobs (zero time when none).
 func (c *Coordinator) nextExpiry() time.Time {
 	c.mu.Lock()
-	jobs := make([]*Job, 0, len(c.order))
-	for _, id := range c.order {
-		jobs = append(jobs, c.jobs[id])
-	}
+	jobs := c.jobs.List()
 	c.mu.Unlock()
 	var min time.Time
 	for _, j := range jobs {
@@ -842,10 +812,7 @@ func (c *Coordinator) nextExpiry() time.Time {
 func (c *Coordinator) jobForLease(leaseID string) *Job {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if jid, ok := c.leaseJobs[leaseID]; ok {
-		return c.jobs[jid]
-	}
-	return nil
+	return c.jobs.Get(c.leaseJobs[leaseID])
 }
 
 // forgetLease drops a resolved lease from the index.
@@ -878,8 +845,7 @@ type lease struct {
 	// at grant and advanced only by heartbeats whose DonePackets grew. A
 	// lease that keeps heartbeating with a frozen count — a wedged worker
 	// the TTL machinery cannot see — shows up as a growing progress age
-	// here, which WorkerInfos/Stats expose and the supervisor's
-	// stuck-lease detector acts on.
+	// here, which WorkerInfos/Stats expose.
 	progress time.Time
 }
 
@@ -1520,19 +1486,6 @@ func (c *Coordinator) Handler() http.Handler {
 
 	mux.HandleFunc("GET /v1/dist/stats", admin(func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, c.Stats())
-	}))
-
-	mux.HandleFunc("POST /v1/dist/annotate", admin(func(w http.ResponseWriter, r *http.Request) {
-		var req AnnotateRequest
-		if !readJSON(w, r, &req) {
-			return
-		}
-		if !strings.HasPrefix(req.Type, "supervisor-") || len(req.Type) > 64 {
-			api.ErrorCode(w, http.StatusBadRequest, "bad_request", `annotation type must start with "supervisor-"`)
-			return
-		}
-		c.emit(FleetEvent{Type: req.Type, Worker: req.Worker, Detail: req.Detail})
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	}))
 
 	mux.HandleFunc("GET /v1/dist/events", admin(c.fleetEventsHandler))

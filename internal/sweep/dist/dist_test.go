@@ -392,7 +392,8 @@ func TestManifestReplaySkipsUnparsable(t *testing.T) {
 // TestManifestShapeReplays pins the on-disk manifest shape: manifests
 // written byte for byte as earlier coordinators wrote them (literal
 // JSON, pool-less and pooled) replay through New as their jobs, and a
-// fresh Submit of the same spec writes the identical bytes.
+// fresh Submit of the same spec writes the identical bytes under an id
+// numbered past the highest replayed one.
 func TestManifestShapeReplays(t *testing.T) {
 	manifests := map[string]string{
 		"j2": `{"v":1,"spec":{"experiment":"fig8","packets":4,"psdu_bytes":60,"seed":3,"axis":[-10,-20]},"points":6}`,
@@ -420,12 +421,15 @@ func TestManifestShapeReplays(t *testing.T) {
 			t.Fatalf("replayed %s: progress %+v spec %+v", id, p, j.Spec)
 		}
 	}
-	for _, pooled := range []bool{false, true} {
+	for i, pooled := range []bool{false, true} {
 		spec := testSpec()
 		spec.Pool = pooled
 		j, err := c.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := []string{"j5", "j6"}[i]; j.ID != want {
+			t.Fatalf("fresh job id %s, want %s", j.ID, want)
 		}
 		got, err := os.ReadFile(filepath.Join(dir, j.ID+".json"))
 		if err != nil {

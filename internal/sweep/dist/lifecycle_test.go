@@ -3,7 +3,8 @@ package dist
 // Lifecycle corner cases: drain during an in-flight lease, revocation
 // mid-lease, a coordinator restart while a worker is draining, and a
 // late result from an already-drained worker — plus the fleet event
-// stream they are all observable on.
+// stream they are all observable on, and the lease progress age that
+// tells a wedged worker from a busy one.
 
 import (
 	"bufio"
@@ -438,5 +439,106 @@ func TestFleetEventStream(t *testing.T) {
 		if typ != past[i+2].Type {
 			t.Fatalf("SSE event %d is %q, subscription saw %q", i, typ, past[i+2].Type)
 		}
+	}
+}
+
+// TestLeaseProgressAge pins the wedged-worker signal an operator drains
+// or revokes on. Workers are driven by hand over HTTP: a lease whose
+// heartbeats report no new packets ages in LastProgressSec while the
+// worker's IdleSec stays small, a heartbeat whose DonePackets grew
+// resets the age, a worker holding no lease reports −1, and
+// Stats().OldestProgressSec follows the stalest live lease. Every bound
+// is taken from wall-clock stamps around the HTTP calls, so the test
+// holds on a slow machine.
+func TestLeaseProgressAge(t *testing.T) {
+	c, srv := testCoordinator(t, Config{LeasePoints: 1, LeaseTTL: time.Minute})
+	if _, err := c.Submit(testSpec()); err != nil {
+		t.Fatal(err)
+	}
+	idA, tokA := registerManual(t, srv.URL, "", "wedged")
+	idB, tokB := registerManual(t, srv.URL, "", "second")
+	registerManual(t, srv.URL, "", "idle-1")
+	registerManual(t, srv.URL, "", "idle-2")
+
+	// lease grants a lease and returns the instants just before the
+	// request and just after the answer: the grant lies between them.
+	lease := func(tok, name string) (l Lease, sent, got time.Time) {
+		sent = time.Now()
+		l = manualLease(t, srv.URL, tok, name)
+		return l, sent, time.Now()
+	}
+	// heartbeat reports done packets and returns when it was sent.
+	heartbeat := func(tok, name string, l Lease, done int64) time.Time {
+		sent := time.Now()
+		if status := postJSON(t, srv.URL, tok, "/v1/dist/heartbeat", Heartbeat{Lease: l.ID, Worker: name, DonePackets: done}, nil); status != http.StatusOK {
+			t.Fatalf("%s heartbeat: HTTP %d", name, status)
+		}
+		return sent
+	}
+	// infos snapshots the registry by worker id, with the instants
+	// bracketing the snapshot.
+	infos := func() (m map[string]WorkerInfo, before, after time.Time) {
+		before = time.Now()
+		list := c.WorkerInfos()
+		after = time.Now()
+		m = make(map[string]WorkerInfo, len(list))
+		var ids []string
+		for _, wi := range list {
+			m[wi.ID] = wi
+			ids = append(ids, wi.ID)
+		}
+		if want := []string{"w1", "w2", "w3", "w4"}; strings.Join(ids, ",") != strings.Join(want, ",") {
+			t.Fatalf("WorkerInfos order %v, want registration order %v", ids, want)
+		}
+		return m, before, after
+	}
+	secs := func(d time.Duration) float64 { return d.Seconds() }
+
+	la, aSent, aGot := lease(tokA, "wedged")
+	time.Sleep(150 * time.Millisecond)
+	lb, bSent, bGot := lease(tokB, "second")
+	var last time.Time
+	for range 3 {
+		time.Sleep(100 * time.Millisecond)
+		heartbeat(tokB, "second", lb, 0)
+		last = heartbeat(tokA, "wedged", la, 0)
+	}
+
+	m, before, after := infos()
+	a := m[idA]
+	if lo, hi := secs(before.Sub(aGot)), secs(after.Sub(aSent)); a.LastProgressSec < lo || a.LastProgressSec > hi {
+		t.Fatalf("wedged LastProgressSec = %.3f, want the age of its grant, in [%.3f, %.3f]", a.LastProgressSec, lo, hi)
+	}
+	if hi := secs(after.Sub(last)); a.IdleSec > hi {
+		t.Fatalf("wedged IdleSec = %.3f, want at most %.3f since its last heartbeat", a.IdleSec, hi)
+	}
+	if a.LastProgressSec <= a.IdleSec {
+		t.Fatalf("wedged LastProgressSec %.3f did not outgrow IdleSec %.3f", a.LastProgressSec, a.IdleSec)
+	}
+	for _, id := range []string{"w3", "w4"} {
+		if got := m[id].LastProgressSec; got != -1 {
+			t.Fatalf("lease-less worker %s LastProgressSec = %v, want -1", id, got)
+		}
+	}
+	st := c.Stats()
+	if lo := secs(before.Sub(aGot)); st.OldestProgressSec < lo {
+		t.Fatalf("OldestProgressSec = %.3f, want the wedged lease's age ≥ %.3f", st.OldestProgressSec, lo)
+	}
+
+	// Progress on the wedged lease resets its age; the second lease is
+	// now the stalest.
+	reset := heartbeat(tokA, "wedged", la, 2)
+	m, before, after = infos()
+	if a, lo, hi := m[idA].LastProgressSec, 0.0, secs(after.Sub(reset)); a < lo || a > hi {
+		t.Fatalf("after progress, wedged LastProgressSec = %.3f, want in [%.3f, %.3f]", a, lo, hi)
+	}
+	if b, lo, hi := m[idB].LastProgressSec, secs(before.Sub(bGot)), secs(after.Sub(bSent)); b < lo || b > hi {
+		t.Fatalf("second LastProgressSec = %.3f, want the age of its grant, in [%.3f, %.3f]", b, lo, hi)
+	}
+	before = time.Now()
+	st = c.Stats()
+	after = time.Now()
+	if lo, hi := secs(before.Sub(bGot)), secs(after.Sub(bSent)); st.OldestProgressSec < lo || st.OldestProgressSec > hi {
+		t.Fatalf("OldestProgressSec = %.3f, want the second lease's age in [%.3f, %.3f]", st.OldestProgressSec, lo, hi)
 	}
 }

@@ -129,13 +129,7 @@
 // /v1/status endpoints.
 package dist
 
-import (
-	"context"
-	"net/http"
-
-	"repro/internal/api"
-	"repro/internal/sweep"
-)
+import "repro/internal/sweep"
 
 // Wire types of the worker tier. All endpoints live under /v1/dist/ on
 // the coordinator:
@@ -149,7 +143,6 @@ import (
 //	POST /v1/dist/workers/{id}/drain    → 200                          (join-secret auth)
 //	POST /v1/dist/workers/{id}/revoke   → 200                          (join-secret auth)
 //	GET  /v1/dist/stats       → 200 FleetStats                         (join-secret auth)
-//	POST /v1/dist/annotate    AnnotateRequest → 200                    (join-secret auth)
 //	GET  /v1/dist/events      fleet-wide SSE stream (Last-Event-ID resume, join-secret auth)
 //
 // Failures answer with the shared /v1 envelope
@@ -273,21 +266,9 @@ type WorkerInfo struct {
 	// LastProgressSec is the time since the freshest of the worker's live
 	// leases last advanced its heartbeat packet count (the lease grant
 	// counts as progress), or −1 when the worker holds no live lease. A
-	// worker that heartbeats dutifully while this grows is wedged — the
-	// failure mode the supervisor's stuck-lease detector keys on.
+	// worker that heartbeats dutifully while this grows is wedged: the
+	// lease TTL cannot see it, so an operator drains or revokes it.
 	LastProgressSec float64 `json:"last_progress_sec"`
-}
-
-// AnnotateRequest (POST /v1/dist/annotate, join-secret auth) injects a
-// control-plane annotation into the fleet event stream. Only
-// "supervisor-" prefixed types are accepted: the supervisor uses it to
-// surface spawns, quarantines and stuck-lease actions next to the
-// coordinator's own lifecycle events, where stream consumers already
-// look.
-type AnnotateRequest struct {
-	Type   string `json:"type"`
-	Worker string `json:"worker,omitempty"`
-	Detail string `json:"detail,omitempty"`
 }
 
 // FleetEvent is one entry of the fleet-wide event stream (GET
@@ -295,7 +276,7 @@ type AnnotateRequest struct {
 // milestones, sequenced for Last-Event-ID resume.
 type FleetEvent struct {
 	Seq  int    `json:"seq"`
-	Type string `json:"type"` // worker-join|worker-drain|worker-revoke|worker-leave|lease-grant|lease-expire|lease-cancel|job-submit|job-done|job-failed|supervisor-*
+	Type string `json:"type"` // worker-join|worker-drain|worker-revoke|worker-leave|lease-grant|lease-expire|lease-cancel|job-submit|job-done|job-failed
 	// Worker is the assigned worker id (worker and lease events).
 	Worker string `json:"worker,omitempty"`
 	Job    string `json:"job,omitempty"`
@@ -304,18 +285,4 @@ type FleetEvent struct {
 	Points int `json:"points,omitempty"`
 	// Detail is a human-oriented annotation (names, reasons).
 	Detail string `json:"detail,omitempty"`
-}
-
-// ListWorkers pages through the coordinator's whole worker registry
-// (GET /v1/dist/workers, newest first as served) with the join-secret
-// client c.
-func ListWorkers(ctx context.Context, c api.Client) ([]WorkerInfo, error) {
-	return api.ListAll[WorkerInfo](ctx, c, "/v1/dist/workers")
-}
-
-// WorkerAction asks the coordinator to "drain" or "revoke" worker id
-// with the join-secret client c. An unknown worker answers 404
-// (api.IsStatus(err, http.StatusNotFound)).
-func WorkerAction(ctx context.Context, c api.Client, id, action string) error {
-	return c.Call(ctx, http.MethodPost, "/v1/dist/workers/"+id+"/"+action, nil, nil)
 }

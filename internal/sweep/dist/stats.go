@@ -32,13 +32,11 @@ type FleetStats struct {
 	// OldestProgressSec is the progress age of the stalest live lease:
 	// seconds since it last advanced its heartbeat packet count (0 with no
 	// live leases). A value that keeps growing while heartbeats keep
-	// landing is the wedged-worker signature the stuck-lease detector
-	// exists for.
+	// landing is the wedged-worker signature.
 	OldestProgressSec float64 `json:"oldest_progress_sec"`
 	// HeartbeatSec/LongPollSec/TTLSec echo the pacing the coordinator
-	// advertises at registration, so stream consumers (the supervisor's
-	// stuck thresholds, dashboards) can calibrate against the fleet's
-	// actual cadence instead of guessing.
+	// advertises at registration, so dashboards can calibrate against the
+	// fleet's actual cadence instead of guessing.
 	HeartbeatSec float64 `json:"heartbeat_sec"`
 	LongPollSec  float64 `json:"long_poll_sec"`
 	TTLSec       float64 `json:"ttl_sec"`
@@ -141,7 +139,7 @@ func (c *Coordinator) WritePrometheus(w io.Writer) {
 // WorkerStats is a worker's own operational counters plus its current
 // lease, served by the worker's -obs endpoint (GET /v1/status) alongside
 // the engine metrics — the same one-call snapshot shape the other roles
-// expose, so the supervisor and humans probe every role uniformly.
+// expose, so every role is probed uniformly.
 type WorkerStats struct {
 	Name            string `json:"name"`
 	Worker          string `json:"worker,omitempty"` // coordinator-assigned id

@@ -57,9 +57,7 @@ type Engine struct {
 	wg    sync.WaitGroup
 
 	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string
-	nextID int
+	jobs   JobTable[*Job]
 	closed bool
 }
 
@@ -79,7 +77,6 @@ func New(cfg Config) *Engine {
 		pool:  wifi.NewWaveformPool(cfg.PoolSize, cfg.PoolSeed),
 		tasks: make(chan shard),
 		quit:  make(chan struct{}),
-		jobs:  make(map[string]*Job),
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		e.wg.Add(1)
@@ -106,10 +103,7 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	jobs := make([]*Job, 0, len(e.jobs))
-	for _, j := range e.jobs {
-		jobs = append(jobs, j)
-	}
+	jobs := e.jobs.List()
 	e.mu.Unlock()
 	for _, j := range jobs {
 		j.Cancel()
@@ -273,10 +267,7 @@ func (e *Engine) submit(ctx context.Context, spec Spec, subset []int) (*Job, err
 		cancel()
 		return nil, fmt.Errorf("sweep: engine is closed")
 	}
-	e.nextID++
-	j.ID = fmt.Sprintf("j%d", e.nextID)
-	e.jobs[j.ID] = j
-	e.order = append(e.order, j.ID)
+	j.ID = e.jobs.Add(j)
 	e.mu.Unlock()
 	jobsSubmitted.Inc()
 	jobsRunning.Add(1)
@@ -323,7 +314,7 @@ func (e *Engine) submit(ctx context.Context, spec Spec, subset []int) (*Job, err
 func (e *Engine) Job(id string) *Job {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.jobs[id]
+	return e.jobs.Get(id)
 }
 
 // Remove cancels the job if it is still running and forgets it,
@@ -333,16 +324,7 @@ func (e *Engine) Job(id string) *Job {
 // drain harmlessly after removal.
 func (e *Engine) Remove(id string) bool {
 	e.mu.Lock()
-	j, ok := e.jobs[id]
-	if ok {
-		delete(e.jobs, id)
-		for i, oid := range e.order {
-			if oid == id {
-				e.order = append(e.order[:i], e.order[i+1:]...)
-				break
-			}
-		}
-	}
+	j, ok := e.jobs.Remove(id)
 	e.mu.Unlock()
 	if !ok {
 		return false
@@ -355,11 +337,7 @@ func (e *Engine) Remove(id string) bool {
 func (e *Engine) Jobs() []*Job {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]*Job, 0, len(e.order))
-	for _, id := range e.order {
-		out = append(out, e.jobs[id])
-	}
-	return out
+	return e.jobs.List()
 }
 
 // pointState accumulates one measurement point's tallies across shards.

@@ -281,6 +281,15 @@ func TestRemove(t *testing.T) {
 	if e.Remove(j.ID) {
 		t.Fatal("second Remove reported success")
 	}
+	// Ids are never reused: the next job is numbered past the removed one.
+	j2, err := e.Submit(context.Background(), testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2.Cancel()
+	if j2.ID != "j2" {
+		t.Fatalf("job after Remove got id %s, want j2", j2.ID)
+	}
 }
 
 // TestCancel pins cooperative cancellation: a cancelled job unblocks
