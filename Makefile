@@ -33,12 +33,15 @@ test-purego:
 # kernel dispatch (shared SlideTab/FFT-plan caches + the ForceScalar
 # toggle), the Viterbi decoder's pooled survivor, int8 and float64
 # scratch that the parallel decoders share, the shared constellations
-# built on first use, and the pooled transmit scratch (composites, interferer streams,
-# modulators) that concurrent RunPacket calls share through
-# internal/experiments, internal/interference, internal/wifi and
-# internal/ofdm, with the modem's candidate sort on the decision path.
+# built on first use, and the pooled packet state that concurrent
+# RunPacket calls share through internal/experiments: the transmit
+# scratch (composites, interferer streams, modulators) of
+# internal/interference, internal/wifi and internal/ofdm, and the
+# receive state (frame and demodulator, preamble training, receivers)
+# of internal/rx and internal/core, with the modem's candidate sort on
+# the decision path.
 test-race-sweep:
-	$(GO) test -race ./internal/sweep/... ./internal/api/ ./cmd/cprecycle-bench/ ./internal/wifi/ ./internal/experiments/ ./internal/rx/ ./internal/dsp/ ./internal/coding/ ./internal/interference/ ./internal/modem/ ./internal/ofdm/
+	$(GO) test -race ./internal/sweep/... ./internal/api/ ./cmd/cprecycle-bench/ ./internal/wifi/ ./internal/experiments/ ./internal/rx/ ./internal/core/ ./internal/dsp/ ./internal/coding/ ./internal/interference/ ./internal/modem/ ./internal/ofdm/
 
 # Short end-to-end sweep through the engine (sharded workers + waveform
 # pool) plus a 2-worker parallel-decode equivalence check, as run in CI.

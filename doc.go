@@ -33,6 +33,16 @@
 // straight into the stream, and interference.Scenario.RunInto realises a
 // packet into a reused Composite (PSRPlan.RunPacket recycles them through
 // a sync.Pool), so a steady-state packet's synthesis allocates nothing.
+// The receive side is recycled through the same pooled packet buffer:
+// the rx.Frame (with its demodulator) is re-bound in place by
+// Frame.Bind, the core.Training retrained in place by Training.Train,
+// and each arm's core.Receiver reset by Receiver.Bind, so a warm packet
+// allocates only each arm's decoded bits and PSDU. Buffer ownership
+// follows one rule throughout: observations and decisions a Frame or
+// Receiver hands out (rx.Observation.Data, StandardDecider's decision
+// and confidence slots on the Frame, a Receiver's decisions) are scratch
+// of that Frame or Receiver, valid until its next call or Bind, and a
+// Frame.ScratchFork view has its own.
 // The hottest planar kernels additionally run hand-written SIMD — AVX2
 // on amd64 (runtime CPUID dispatch) and NEON on arm64 — with the Go
 // loops kept as a complete scalar fallback (purego build tag,

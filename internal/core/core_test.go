@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/channel"
@@ -473,6 +474,67 @@ func BenchmarkCPRecycleDecideSymbol(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := cpr.DecideSymbol(f, i%5, cons); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestTrainAndBindReuseMatchFresh retrains one Training and rebinds
+// receivers across frames on two grids, after each has decoded symbols
+// and fitted KDE models on the previous frame, and requires every
+// decision to match receivers built fresh on the new frame: the live
+// model is reset and the KDE fit cache cleared.
+func TestTrainAndBindReuseMatchFresh(t *testing.T) {
+	type packet struct {
+		f *rx.Frame
+		m wifi.MCS
+	}
+	a, _, ma := runScenario(t, aciScenario(-12, 17, 57), 1200, "QPSK 1/2", 40)
+	b, _, mb := runScenario(t, &interference.Scenario{Q: 1, SNRdB: 18, Channel: channel.Indoor2Tap(),
+		Interferers: []interference.Interferer{{SIRdB: 8, Channel: channel.Indoor2Tap()}}}, 1201, "16-QAM 1/2", 40)
+	c, _, mc := runScenario(t, aciScenario(-8, 17, 57), 1202, "QPSK 1/2", 40)
+	var tr Training
+	var hard, sphere Receiver
+	for step, p := range []packet{{a, ma}, {b, mb}, {c, mc}, {a, ma}} {
+		segs := segments16(t, p.f.Grid())
+		if _, err := tr.Train(p.f, segs); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Train(p.f, segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cons := consFor(p.m)
+		for _, d := range []Decision{DecisionModelWeighted, DecisionSphereKDE} {
+			cfg := Config{Segments: segs, Decision: d}
+			reused := &hard
+			if d == DecisionSphereKDE {
+				reused = &sphere
+			}
+			if _, err := reused.Bind(p.f, &tr, cfg); err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewReceiverFrom(p.f, fresh, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < p.m.SymbolsForPSDU(40); k++ {
+				got, err := reused.DecideSymbol(p.f, k, cons)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exp, err := want.DecideSymbol(p.f, k, cons)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, exp) {
+					t.Fatalf("step %d %v symbol %d: reused receiver decided %v, fresh %v", step, d, k, got, exp)
+				}
+			}
+			// The lazily fitted Eq. 4 densities must be the new frame's.
+			gm, wm := reused.ModelFor(3), want.ModelFor(3)
+			if g, w := gm.LogDensity(0.2, 0.5), wm.LogDensity(0.2, 0.5); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("step %d %v: reused receiver's density %v, fresh %v", step, d, g, w)
+			}
 		}
 	}
 }

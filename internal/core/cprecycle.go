@@ -157,8 +157,12 @@ type Receiver struct {
 	segMean []float64
 	// live[j][i] is the continuously updated scale (nil when
 	// NoModelUpdate); it tracks the persistent per-packet interference
-	// structure from decoded symbols' residuals. Receiver-owned.
-	live [][]float64
+	// structure from decoded symbols' residuals. Receiver-owned: live
+	// aliases liveRows, whose rows are windows of liveBuf, both kept
+	// across Bind.
+	live     [][]float64
+	liveRows [][]float64
+	liveBuf  []float64
 
 	// Decision scratch, reused across symbols (no per-symbol allocation).
 	out      []int
@@ -168,6 +172,10 @@ type Receiver struct {
 	liveMean []float64
 	pts      []complex128
 	conf     []float64
+	// dist and bestDist hold one candidate's per-segment distances
+	// |X̂ʲ − l| and the leader's, which the §4.3 live update reuses.
+	dist     []float64
+	bestDist []float64
 }
 
 // emaAlpha weights the running residual average: high enough to smooth
@@ -197,26 +205,40 @@ func NewReceiver(f *rx.Frame, cfg Config) (*Receiver, error) {
 // scales and densities but owns its continuously-updated model state, so
 // any number of arms can share one Training.
 func NewReceiverFrom(f *rx.Frame, t *Training, cfg Config) (*Receiver, error) {
+	return new(Receiver).Bind(f, t, cfg)
+}
+
+// Bind resets r to a fresh receiver on the training, as NewReceiverFrom
+// builds, and returns r. The live model and the decision scratch are
+// reused, so a Receiver recycled across packets allocates nothing here
+// in the model-weighted mode; slices returned by earlier decisions are
+// overwritten by later ones. cfg is kept as given: its Segments slice
+// must not change while r is in use.
+func (r *Receiver) Bind(f *rx.Frame, t *Training, cfg Config) (*Receiver, error) {
 	if err := cfg.Validate(f.Grid()); err != nil {
 		return nil, err
 	}
 	if !t.matches(cfg.Segments) {
 		return nil, fmt.Errorf("core: training covers segments %v, receiver wants %v", t.segments, cfg.Segments)
 	}
-	r := &Receiver{cfg: cfg, tr: t, scale: t.scale, segMean: t.segMean}
 	nSC := t.nSC
 	P := len(cfg.Segments)
-
+	r.cfg, r.tr, r.scale, r.segMean = cfg, t, t.scale, t.segMean
+	r.pooled, r.perSeg = nil, nil
+	r.live = nil
 	if !cfg.NoModelUpdate && cfg.Decision == DecisionModelWeighted {
-		r.live = make([][]float64, P)
-		for j := range r.scale {
-			r.live[j] = append([]float64(nil), r.scale[j]...)
+		r.liveRows = rows(r.liveRows, &r.liveBuf, P, nSC)
+		for j := range r.liveRows {
+			copy(r.liveRows[j], r.scale[j])
 		}
+		r.live = r.liveRows
 	}
-	r.out = make([]int, nSC)
-	r.w = make([]float64, P)
-	r.ratio = make([]float64, P)
-	r.pts = make([]complex128, P)
+	r.out = resize(r.out, nSC)
+	r.w = resize(r.w, P)
+	r.ratio = resize(r.ratio, P)
+	r.pts = resize(r.pts, P)
+	r.dist = resize(r.dist, P)
+	r.bestDist = resize(r.bestDist, P)
 	var err error
 	if cfg.PerSegment {
 		if r.perSeg, err = t.perSegment(cfg); err != nil {
@@ -234,6 +256,15 @@ func NewReceiverFrom(f *rx.Frame, t *Training, cfg Config) (*Receiver, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// resize returns buf with length n, reallocating only when it is too
+// small. The contents are not preserved.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // ensurePooled fits (or fetches) the deferred pooled densities.
@@ -296,16 +327,18 @@ func (r *Receiver) ForkDecider() (rx.SymbolDecider, bool) {
 	nSC := len(r.out)
 	P := len(r.cfg.Segments)
 	clone := &Receiver{
-		cfg:     r.cfg,
-		tr:      r.tr,
-		pooled:  r.pooled,
-		perSeg:  r.perSeg,
-		scale:   r.scale,
-		segMean: r.segMean,
-		out:     make([]int, nSC),
-		w:       make([]float64, P),
-		ratio:   make([]float64, P),
-		pts:     make([]complex128, P),
+		cfg:      r.cfg,
+		tr:       r.tr,
+		pooled:   r.pooled,
+		perSeg:   r.perSeg,
+		scale:    r.scale,
+		segMean:  r.segMean,
+		out:      make([]int, nSC),
+		w:        make([]float64, P),
+		ratio:    make([]float64, P),
+		pts:      make([]complex128, P),
+		dist:     make([]float64, P),
+		bestDist: make([]float64, P),
 	}
 	return clone, true
 }
@@ -327,9 +360,7 @@ func (r *Receiver) DecideSymbol(f *rx.Frame, symIdx int, cons *modem.Constellati
 // every decision unit confidence. The confidence slice, like the
 // decisions, is overwritten by the next call.
 func (r *Receiver) DecideSymbolSoft(f *rx.Frame, symIdx int, cons *modem.Constellation) ([]int, []float64, error) {
-	if nSC := f.DataSubcarrierCount(); len(r.conf) != nSC {
-		r.conf = make([]float64, nSC)
-	}
+	r.conf = resize(r.conf, f.DataSubcarrierCount())
 	idxs, err := r.decide(f, symIdx, cons, r.conf)
 	if err != nil {
 		return nil, nil, err
@@ -374,9 +405,7 @@ func (r *Receiver) decideModelWeighted(f *rx.Frame, obs []rx.Observation, cons *
 	segMean := r.segMean
 	if r.live != nil {
 		base = r.live
-		if len(r.liveMean) != P {
-			r.liveMean = make([]float64, P)
-		}
+		r.liveMean = resize(r.liveMean, P)
 		segMean = r.liveMean
 		for j := range base {
 			var tot float64
@@ -412,6 +441,10 @@ func (r *Receiver) decideModelWeighted(f *rx.Frame, obs []rx.Observation, cons *
 		}
 		centroid /= complex(wsum, 0)
 		cands = cons.WithinRadius(centroid, radius, cands[:0])
+		// bestDist receives the decided point's per-segment distances
+		// |X̂ʲ − l|, scored or (won false) measured for the §4.3 update.
+		dist, bestDist := r.dist[:P], r.bestDist[:P]
+		won := false
 		switch len(cands) {
 		case 0:
 			out[i] = cons.Nearest(centroid)
@@ -424,17 +457,35 @@ func (r *Receiver) decideModelWeighted(f *rx.Frame, obs []rx.Observation, cons *
 				conf[i] = 1 // sole candidate in the sphere: maximally confident
 			}
 		default:
+			// A candidate is dropped as soon as its partial score reaches
+			// the score it must beat: best on the hard path, second when
+			// margins are wanted. Every term is ≥ 0 and rounded addition
+			// is monotone, so the full score could not have beaten it
+			// either, and the result is the full scan's bit for bit.
 			best, second := math.Inf(1), math.Inf(1)
 			bestLi := cands[0]
 			for _, li := range cands {
 				l := cons.Point(li)
+				limit := best
+				if conf != nil {
+					limit = second
+				}
 				score := 0.0
-				for j := range obs {
-					score += dsp.Abs(obs[j].Data[i]-l) * w[j]
+				j := 0
+				for ; j < P; j++ {
+					dist[j] = dsp.Abs(obs[j].Data[i] - l)
+					score += dist[j] * w[j]
+					if score >= limit {
+						break
+					}
+				}
+				if j < P {
+					continue
 				}
 				if score < best {
 					second = best
-					best, bestLi = score, li
+					best, bestLi, won = score, li, true
+					dist, bestDist = bestDist, dist
 				} else if score < second {
 					second = score
 				}
@@ -452,10 +503,14 @@ func (r *Receiver) decideModelWeighted(f *rx.Frame, obs []rx.Observation, cons *
 			// from the decided point into the running scales. Even when the
 			// decision is wrong the residual is off by at most one lattice
 			// spacing, so heavily interfered segments still stand out.
-			p := cons.Point(out[i])
+			if !won {
+				p := cons.Point(out[i])
+				for j := range obs {
+					bestDist[j] = dsp.Abs(obs[j].Data[i] - p)
+				}
+			}
 			for j := range obs {
-				res := dsp.Abs(obs[j].Data[i] - p)
-				r.live[j][i] = emaAlpha*r.live[j][i] + (1-emaAlpha)*(res+scaleFloor)
+				r.live[j][i] = emaAlpha*r.live[j][i] + (1-emaAlpha)*(bestDist[j]+scaleFloor)
 			}
 		}
 	}

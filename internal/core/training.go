@@ -29,13 +29,17 @@ type dev struct{ amp, ph float64 }
 // and cached on the Training; receivers with equal fit options share the
 // fitted models. A Training is immutable after construction apart from
 // that cache, which is mutex-guarded, so it is safe to share across
-// receivers and goroutines.
+// receivers and goroutines — until its Train method retrains it in place
+// for the next packet.
 type Training struct {
 	segments []int
 	nSC      int
 	devs     [][][2]dev // [segment][subcarrier][LTF symbol]
 	scale    [][]float64
 	segMean  []float64
+	// devBuf and scaleBuf back the rows of devs and scale.
+	devBuf   [][2]dev
+	scaleBuf []float64
 
 	mu         sync.Mutex
 	pooledFits map[fitOptions][]*kde.Bivariate
@@ -75,6 +79,17 @@ func fitOptionsOf(cfg Config) (key fitOptions, sel kde.BandwidthSelector, cachea
 // symbol) window, deviations from the known LTF lattice points, and the
 // per-(segment, subcarrier) expected interference scales.
 func Train(f *rx.Frame, segments []int) (*Training, error) {
+	return new(Training).Train(f, segments)
+}
+
+// Train retrains t in place on the frame, as the function Train does,
+// and returns t. The deviation and scale tables are reused, and the KDE
+// fit cache is cleared, so a Training recycled across packets allocates
+// nothing for the pass. Receivers built on t before the call read the
+// new model afterwards; rebind them (Receiver.Bind) to the new frame.
+// Like every other use of a Training, the call is not safe while other
+// goroutines read t.
+func (t *Training) Train(f *rx.Frame, segments []int) (*Training, error) {
 	if err := (Config{Segments: segments}).Validate(f.Grid()); err != nil {
 		return nil, err
 	}
@@ -89,17 +104,15 @@ func Train(f *rx.Frame, segments []int) (*Training, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: preamble training: %w", err)
 	}
-	t := &Training{
-		segments: append([]int(nil), segments...),
-		nSC:      nSC,
-		devs:     make([][][2]dev, P),
-		scale:    make([][]float64, P),
-		segMean:  make([]float64, P),
-	}
+	t.segments = append(t.segments[:0], segments...)
+	t.nSC = nSC
+	t.devs = rows(t.devs, &t.devBuf, P, nSC)
+	t.scale = rows(t.scale, &t.scaleBuf, P, nSC)
+	t.segMean = resize(t.segMean, P)
+	clear(t.pooledFits)
+	clear(t.perSegFits)
 	for j := range segments {
 		obs := pre[j]
-		t.devs[j] = make([][2]dev, nSC)
-		t.scale[j] = make([]float64, nSC)
 		var tot float64
 		for i, sc := range scs {
 			want := ofdm.LTFValue(sc)
@@ -115,6 +128,18 @@ func Train(f *rx.Frame, segments []int) (*Training, error) {
 		t.segMean[j] = tot / float64(nSC)
 	}
 	return t, nil
+}
+
+// rows returns a P×n table whose rows are consecutive n-long windows of
+// *buf, reusing the row headers and the backing buffer when they are big
+// enough. The contents are not preserved.
+func rows[T any](tab [][]T, buf *[]T, p, n int) [][]T {
+	*buf = resize(*buf, p*n)
+	tab = resize(tab, p)
+	for j := range tab {
+		tab[j] = (*buf)[j*n : (j+1)*n : (j+1)*n]
+	}
+	return tab
 }
 
 // Segments returns the trained segment plan (not a copy; do not modify).

@@ -192,6 +192,9 @@ type PSRPlan struct {
 	cfg   LinkConfig
 	segs  []int
 	intra int // resolved intra-packet decode workers (≥ 1)
+	// wrapDecider, when set, replaces each arm's decider before decoding
+	// (tests use it to record per-symbol decisions).
+	wrapDecider func(pkt, arm int, d rx.SymbolDecider) rx.SymbolDecider
 }
 
 // PlanPSR validates cfg, fills defaults and computes the segment plan.
@@ -357,10 +360,16 @@ func RunPSR(cfg LinkConfig) ([]PSRPoint, error) {
 // any executor — the striding workers of RunPSR or a sweep-engine shard —
 // produces identical results for the same index.
 func (p *PSRPlan) RunPacket(pkt int, ok []bool) error {
-	pktStart := time.Now()
-	cfg := p.cfg
 	pb := packetPool.Get().(*packetBuf)
 	defer packetPool.Put(pb)
+	return p.runPacket(pb, pkt, ok, nil)
+}
+
+// runPacket is RunPacket on the given packet state. When res is non-nil
+// it also receives each arm's decode result.
+func (p *PSRPlan) runPacket(pb *packetBuf, pkt int, ok []bool, res []rx.Result) error {
+	pktStart := time.Now()
+	cfg := p.cfg
 	r := pb.rand(cfg.Seed*1_000_003 + int64(pkt))
 	pb.psdu = slices.Grow(pb.psdu[:0], cfg.PSDUBytes)[:cfg.PSDUBytes]
 	psdu := wifi.DrawPSDUInto(pb.psdu, r)
@@ -370,17 +379,21 @@ func (p *PSRPlan) RunPacket(pkt int, ok []bool) error {
 	if err != nil {
 		return err
 	}
-	f, err := rx.NewFrame(c.Grid, c.Samples, c.FrameStart)
+	f, err := pb.frame.Bind(c.Grid, c.Samples, c.FrameStart)
 	if err != nil {
 		return err
 	}
 	segs := p.segs
+	if len(pb.arms) < len(cfg.Receivers) {
+		pb.arms = make([]armBuf, len(cfg.Receivers))
+	}
 
 	// The CPRecycle arms share one preamble training pass (and, through
 	// it, any KDE fits with equal options); the deviations depend only on
 	// (frame, segments), so sharing is bit-identical to per-arm training.
-	var training *core.Training
+	trained := false
 	for ai, k := range cfg.Receivers {
+		arm := &pb.arms[ai]
 		var decider rx.SymbolDecider
 		soft := false
 		switch k {
@@ -392,12 +405,17 @@ func (p *PSRPlan) RunPacket(pkt int, ok []bool) error {
 		case Naive:
 			decider = core.NaiveDecider{Segments: segs}
 		case Oracle:
-			decider = &core.OracleDecider{InterferenceOnly: c.InterferenceOnly, Segments: segs}
+			arm.oracle.InterferenceOnly, arm.oracle.Segments = c.InterferenceOnly, segs
+			decider = &arm.oracle
 		case CPRecycle, CPRecycleNoTrack, CPRecycleKDE, CPRecycleSoft:
 			// The arm gets its own copy of the plan's segment slice:
 			// CoreTweak is a public hook and must not be able to mutate
 			// the shared (concurrently read) plan through the alias.
-			conf := core.Config{Segments: slices.Clone(segs)}
+			// The Config lives on the arm too: CoreTweak takes its address,
+			// which would move a local one to the heap on every packet.
+			arm.segs = append(arm.segs[:0], segs...)
+			arm.conf = core.Config{Segments: arm.segs}
+			conf := &arm.conf
 			if k == CPRecycleNoTrack {
 				conf.NoPilotTracking = true
 			}
@@ -405,24 +423,25 @@ func (p *PSRPlan) RunPacket(pkt int, ok []bool) error {
 				conf.Decision = core.DecisionSphereKDE
 			}
 			if cfg.CoreTweak != nil {
-				cfg.CoreTweak(&conf)
+				cfg.CoreTweak(conf)
 			}
 			var cpr *core.Receiver
 			var err error
 			if slices.Equal(conf.Segments, segs) {
-				if training == nil {
+				if !trained {
 					trainStart := time.Now()
-					training, err = core.Train(f, segs)
+					_, err = pb.training.Train(f, segs)
 					stageTrain.ObserveSince(trainStart)
 					if err != nil {
 						return err
 					}
+					trained = true
 				}
-				cpr, err = core.NewReceiverFrom(f, training, conf)
+				cpr, err = arm.cpr.Bind(f, &pb.training, *conf)
 			} else {
 				// A CoreTweak changed the segment plan for this arm;
 				// train it independently.
-				cpr, err = core.NewReceiver(f, conf)
+				cpr, err = core.NewReceiver(f, *conf)
 			}
 			if err != nil {
 				return err
@@ -432,6 +451,9 @@ func (p *PSRPlan) RunPacket(pkt int, ok []bool) error {
 		default:
 			return fmt.Errorf("experiments: unknown receiver kind %d", int(k))
 		}
+		if p.wrapDecider != nil {
+			decider = p.wrapDecider(pkt, ai, decider)
+		}
 		// Fan this packet's symbols across the idle cores; at intra <= 1,
 		// or for deciders whose state forbids forking, the decode runs
 		// serially, so results are bit-identical either way.
@@ -439,25 +461,43 @@ func (p *PSRPlan) RunPacket(pkt int, ok []bool) error {
 		if soft {
 			decode = rx.DecodeDataSoftParallel
 		}
-		res, err := decode(f, cfg.MCS, len(psdu), decider, p.intra)
+		out, err := decode(f, cfg.MCS, len(psdu), decider, p.intra)
 		if err != nil {
 			return err
 		}
-		ok[ai] = res.FCSOK && string(res.PSDU) == string(psdu)
+		ok[ai] = out.FCSOK && string(out.PSDU) == string(psdu)
+		if res != nil {
+			res[ai] = out
+		}
 	}
 	packetsTotal.Inc()
 	packetSeconds.ObserveSince(pktStart)
 	return nil
 }
 
-// packetBuf is one packet's transmit state — RNG, victim PSDU and the
-// realised composite — recycled through packetPool. RunPacket holds it
-// until every arm has decoded, since the frame and the Oracle read the
-// composite's buffers in place.
+// packetBuf is one packet's state, recycled through packetPool: the
+// transmit side (RNG, victim PSDU, realised composite) and the receive
+// side (the frame with its demodulator, the shared preamble training and
+// each arm's decider). RunPacket holds it until every arm has decoded,
+// since the frame and the Oracle read the composite's buffers in place.
+// Everything in it is rebound in place for the next packet, so a warm
+// buffer makes the receive path allocation-free apart from each arm's
+// decoded PSDU.
 type packetBuf struct {
-	r    *dsp.Rand
-	psdu []byte
-	c    interference.Composite
+	r        *dsp.Rand
+	psdu     []byte
+	c        interference.Composite
+	frame    rx.Frame
+	training core.Training
+	arms     []armBuf
+}
+
+// armBuf is one receiver arm's reusable decider state.
+type armBuf struct {
+	segs   []int // the arm's own copy of the plan's segments
+	conf   core.Config
+	cpr    core.Receiver
+	oracle core.OracleDecider
 }
 
 var packetPool = sync.Pool{New: func() any { return new(packetBuf) }}

@@ -1,11 +1,17 @@
 package experiments
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/interference"
+	"repro/internal/modem"
+	"repro/internal/rx"
 	"repro/internal/wifi"
 )
 
@@ -72,6 +78,249 @@ func TestRunPacketConcurrentSharedPlan(t *testing.T) {
 	wg.Wait()
 }
 
+// recordingDecider wraps one arm's decider for one packet and hashes
+// every decision and soft confidence it hands to the decode.
+type recordingDecider struct {
+	inner rx.SymbolDecider
+	sum   uint64
+}
+
+func (d *recordingDecider) add(idxs []int, conf []float64) {
+	h := fnv.New64a()
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], d.sum)
+	h.Write(buf[:])
+	for _, v := range idxs {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, c := range conf {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(c))
+		h.Write(buf[:])
+	}
+	d.sum = h.Sum64()
+}
+
+func (d *recordingDecider) DecideSymbol(f *rx.Frame, k int, cons *modem.Constellation) ([]int, error) {
+	idxs, err := d.inner.DecideSymbol(f, k, cons)
+	d.add(idxs, nil)
+	return idxs, err
+}
+
+func (d *recordingDecider) DecideSymbolSoft(f *rx.Frame, k int, cons *modem.Constellation) ([]int, []float64, error) {
+	idxs, conf, err := d.inner.(rx.SoftSymbolDecider).DecideSymbolSoft(f, k, cons)
+	d.add(idxs, conf)
+	return idxs, conf, err
+}
+
+// packetOutcome is everything one packet's arms produced: success, the
+// decoded PSDU and the hash of every decision and confidence.
+type packetOutcome struct {
+	ok    []bool
+	psdus [][]byte
+	sums  []uint64
+}
+
+// recordedPlan is a plan whose arms record their decisions.
+type recordedPlan struct {
+	*PSRPlan
+	mu   sync.Mutex
+	recs map[[2]int]*recordingDecider // by (packet, arm)
+}
+
+func newRecordedPlan(t *testing.T, cfg LinkConfig) *recordedPlan {
+	t.Helper()
+	p, err := PlanPSR(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := &recordedPlan{PSRPlan: p, recs: map[[2]int]*recordingDecider{}}
+	p.wrapDecider = func(pkt, arm int, d rx.SymbolDecider) rx.SymbolDecider {
+		rec := &recordingDecider{inner: d}
+		rp.mu.Lock()
+		rp.recs[[2]int{pkt, arm}] = rec
+		rp.mu.Unlock()
+		return rec
+	}
+	return rp
+}
+
+// run decodes packet pkt on pb and returns its outcome.
+func (rp *recordedPlan) run(t *testing.T, pb *packetBuf, pkt int) packetOutcome {
+	arms := len(rp.Receivers())
+	o := packetOutcome{ok: make([]bool, arms), sums: make([]uint64, arms)}
+	res := make([]rx.Result, arms)
+	if err := rp.runPacket(pb, pkt, o.ok, res); err != nil {
+		t.Error(err)
+		return o
+	}
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	for ai := range res {
+		o.psdus = append(o.psdus, slices.Clone(res[ai].PSDU))
+		o.sums[ai] = rp.recs[[2]int{pkt, ai}].sum
+	}
+	return o
+}
+
+func (o packetOutcome) equal(p packetOutcome) bool {
+	return slices.Equal(o.ok, p.ok) && slices.Equal(o.sums, p.sums) &&
+		slices.EqualFunc(o.psdus, p.psdus, func(a, b []byte) bool { return string(a) == string(b) })
+}
+
+// reuseConfigs are the layouts the reuse test alternates: the Fig 8 ACI
+// composite grid (Q=4) and the Fig 11 native CCI grid (Q=1), each with
+// the hard, soft, and Naive plus Oracle arm sets.
+func reuseConfigs(t *testing.T) []LinkConfig {
+	qpsk, err := wifi.MCSByName("QPSK 1/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	qam, err := wifi.MCSByName("16-QAM 1/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfgs []LinkConfig
+	for _, arms := range [][]ReceiverKind{
+		{Standard, CPRecycle},
+		{StandardSoft, CPRecycleSoft},
+		{Naive, Oracle},
+	} {
+		cfgs = append(cfgs,
+			LinkConfig{Scenario: ACIScenario(-8, interference.Channel80211Offset(3), OperatingSNR(qpsk.Name)),
+				MCS: qpsk, PSDUBytes: 100, Packets: 3, Seed: 3, IntraWorkers: 1, Receivers: arms},
+			LinkConfig{Scenario: CCIScenario(12, OperatingSNR(qam.Name)),
+				MCS: qam, PSDUBytes: 100, Packets: 3, Seed: 4, IntraWorkers: 1, Receivers: arms})
+	}
+	return cfgs
+}
+
+// TestRunPacketReuseMatchesFresh decodes every packet of six plans from
+// fresh state, then again through one reused packetBuf in shuffled
+// order, so consecutive packets switch grid (Q=4 and Q=1) and arm set
+// (hard, soft, Naive and Oracle), and then from three goroutines at once
+// through the shared packet pool. Outcomes, decoded PSDUs and the hash
+// of every per-symbol decision and soft confidence must match the fresh
+// decode each time.
+func TestRunPacketReuseMatchesFresh(t *testing.T) {
+	cfgs := reuseConfigs(t)
+	type job struct{ plan, pkt int }
+	var jobs []job
+	want := map[job]packetOutcome{}
+	fresh := make([]*recordedPlan, len(cfgs))
+	for pi, cfg := range cfgs {
+		fresh[pi] = newRecordedPlan(t, cfg)
+		for pkt := 0; pkt < cfg.Packets; pkt++ {
+			j := job{pi, pkt}
+			jobs = append(jobs, j)
+			want[j] = fresh[pi].run(t, new(packetBuf), pkt)
+		}
+	}
+	r := rand.New(rand.NewPCG(19, 3))
+	shuffled := func() []job {
+		order := slices.Clone(jobs)
+		r.Shuffle(len(order), func(i, k int) { order[i], order[k] = order[k], order[i] })
+		return order
+	}
+	check := func(who string, order []job, plans []*recordedPlan, pb func() (*packetBuf, func())) {
+		for _, j := range order {
+			buf, done := pb()
+			got := plans[j.plan].run(t, buf, j.pkt)
+			done()
+			if !got.equal(want[j]) {
+				t.Errorf("%s: plan %d packet %d: outcome %v sums %x, fresh decode %v sums %x",
+					who, j.plan, j.pkt, got.ok, got.sums, want[j].ok, want[j].sums)
+			}
+		}
+	}
+
+	reused := make([]*recordedPlan, len(cfgs))
+	for pi, cfg := range cfgs {
+		reused[pi] = newRecordedPlan(t, cfg)
+	}
+	pb := new(packetBuf)
+	check("reused buffer", shuffled(), reused, func() (*packetBuf, func()) { return pb, func() {} })
+
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		plans := make([]*recordedPlan, len(cfgs))
+		for pi, cfg := range cfgs {
+			plans[pi] = newRecordedPlan(t, cfg)
+		}
+		order := shuffled()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			check("pooled", order, plans, func() (*packetBuf, func()) {
+				b := packetPool.Get().(*packetBuf)
+				return b, func() { packetPool.Put(b) }
+			})
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRunPacketAllocs pins the steady-state allocations of one packet
+// through RunPacket, after a warm-up packet, at the aci-fresh −6 dB hard
+// point and the aci-pooled-soft −10 dB soft point: the frame,
+// demodulator, training and receivers are all reused from the packet
+// pool, leaving each arm's decoded bits and PSDU. Skipped under -race,
+// where sync.Pool drops items at random.
+func TestRunPacketAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	const maxAllocs = 12
+	for _, c := range []struct {
+		name string
+		plan *PSRPlan
+	}{
+		{"aci-fresh -6 dB", aciPlan(t, -6, 400, 64, 1, []ReceiverKind{Standard, CPRecycle})},
+		{"aci-pooled-soft -10 dB", softPlan(t)},
+	} {
+		ok := make([]bool, len(c.plan.Receivers()))
+		if err := c.plan.RunPacket(0, ok); err != nil {
+			t.Fatal(err)
+		}
+		pkt := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			pkt++
+			if err := c.plan.RunPacket(pkt%c.plan.Packets(), ok); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f allocs per packet", c.name, allocs)
+		if allocs > maxAllocs {
+			t.Errorf("%s: %.1f allocs per packet, want <= %d", c.name, allocs, maxAllocs)
+		}
+	}
+}
+
+// softPlan is the aci-pooled-soft workload's −10 dB point: the
+// ablation-soft layout (ACI, 16-QAM 1/2), 400-byte PSDUs, interferer
+// tiles from a waveform pool, and only the standard-soft and
+// cprecycle-soft arms, decoded serially.
+func softPlan(tb testing.TB) *PSRPlan {
+	tb.Helper()
+	sp, err := NewSweepPlan(SweepRequest{
+		Experiment: "ablation-soft",
+		Options:    Options{Packets: 64, PSDUBytes: 400, Seed: 1},
+		Axis:       []float64{-10},
+		Receivers:  []ReceiverKind{StandardSoft, CPRecycleSoft},
+		Pool:       wifi.NewWaveformPool(wifi.DefaultPoolSize, 1),
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := sp.Points[0].Cfg
+	cfg.IntraWorkers = 1
+	plan, err := PlanPSR(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan
+}
+
 // BenchmarkRunPacketACI times whole packets — synthesis, the hard
 // standard and cprecycle arms, Viterbi — at the aci-fresh workload's
 // -6 dB point with 400-byte PSDUs and serial decode.
@@ -94,22 +343,7 @@ func BenchmarkRunPacketACI(b *testing.B) {
 // standard-soft and cprecycle-soft arms, so the soft decisions and the
 // float Viterbi decode dominate. Serial decode.
 func BenchmarkRunPacketSoft(b *testing.B) {
-	sp, err := NewSweepPlan(SweepRequest{
-		Experiment: "ablation-soft",
-		Options:    Options{Packets: 64, PSDUBytes: 400, Seed: 1},
-		Axis:       []float64{-10},
-		Receivers:  []ReceiverKind{StandardSoft, CPRecycleSoft},
-		Pool:       wifi.NewWaveformPool(wifi.DefaultPoolSize, 1),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sp.Points[0].Cfg
-	cfg.IntraWorkers = 1
-	plan, err := PlanPSR(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	plan := softPlan(b)
 	ok := make([]bool, len(plan.Receivers()))
 	// Encode the pool's waveforms before timing starts.
 	if err := plan.RunPacket(0, ok); err != nil {

@@ -74,6 +74,9 @@ type Constellation struct {
 	points  []complex128 // indexed by the integer formed from the bit label
 	norm    float64      // K_MOD scaling applied to the raw lattice
 	minDist float64      // minimum distance between two lattice points
+	// neighbours[idx] lists the points one lattice step from point idx
+	// along either axis (at most four).
+	neighbours [][]int
 }
 
 // shared holds the one Constellation of each scheme, built on first use.
@@ -135,6 +138,19 @@ func build(s Scheme) *Constellation {
 			c.points[idx] = complex(i*c.norm, q*c.norm)
 		}
 	}
+	// Each point is norm × (odd integer level) per axis, so dividing by
+	// norm and rounding recovers the levels exactly; edge neighbours
+	// differ by 2 in one level.
+	c.neighbours = make([][]int, len(c.points))
+	for i, p := range c.points {
+		for j, q := range c.points {
+			di := math.Abs(math.Round(real(q)/c.norm) - math.Round(real(p)/c.norm))
+			dq := math.Abs(math.Round(imag(q)/c.norm) - math.Round(imag(p)/c.norm))
+			if di+dq == 2 && di*dq == 0 {
+				c.neighbours[i] = append(c.neighbours[i], j)
+			}
+		}
+	}
 	c.minDist = math.Inf(1)
 	for i := range c.points {
 		for j := i + 1; j < len(c.points); j++ {
@@ -176,6 +192,12 @@ func (c *Constellation) Points() []complex128 { return c.points }
 
 // Point returns the lattice point for a bit-label index in [0, Size).
 func (c *Constellation) Point(idx int) complex128 { return c.points[idx] }
+
+// Neighbours returns the lattice indices of the points one lattice step
+// from point idx along either axis — its edge neighbours, at most four
+// (one for BPSK), in lattice index order. The returned slice must not be
+// modified.
+func (c *Constellation) Neighbours(idx int) []int { return c.neighbours[idx] }
 
 // Map converts BitsPerSymbol bits (0/1 bytes, first bit = most significant
 // in the label, matching 802.11 bit ordering) to a lattice point.

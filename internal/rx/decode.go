@@ -25,13 +25,15 @@ type SymbolDecider interface {
 // the nearest lattice point.
 type StandardDecider struct{}
 
-// DecideSymbol implements SymbolDecider.
+// DecideSymbol implements SymbolDecider. The decisions live in the
+// Frame's decision slot, overwritten by the next decision on f (hard or
+// soft); copy them to keep them.
 func (StandardDecider) DecideSymbol(f *Frame, symIdx int, cons *modem.Constellation) ([]int, error) {
 	obs, err := f.ObserveSymbol(symIdx, f.Grid().CP)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, len(obs.Data))
+	out, _ := f.decisionSlots()
 	for i, v := range obs.Data {
 		out[i] = cons.Nearest(v)
 	}

@@ -18,7 +18,14 @@ import (
 // windows from the seed FFT to the last slide, interleaved back to
 // complex128 per value at the equalizer boundary — and return buffers
 // owned by the Frame that are reused by the next call on the same Frame;
-// copy anything that must outlive the next observation. A Frame is not
+// copy anything that must outlive the next observation. The same holds
+// for the decision and confidence slices StandardDecider returns: they
+// are the Frame's decision slots, shared by the hard and soft calls and
+// overwritten by the next decision on the Frame.
+//
+// Bind re-targets a Frame at a new packet in place, reusing every buffer
+// (and the demodulator, while the grid is unchanged), so a receive path
+// that recycles its Frame allocates nothing per packet. A Frame is not
 // safe for concurrent use; parallel symbol decoders give each worker its
 // own view via ScratchFork.
 type Frame struct {
@@ -30,9 +37,10 @@ type Frame struct {
 	scs     []int        // data subcarriers
 	pilots  []int
 
-	// Immutable per-frame lookup tables (shared with ScratchFork views):
-	// the FFT bin and channel estimate of each data/pilot subcarrier, so
-	// the per-symbol loops skip the Bin() modulo and Ĥ gather.
+	// Per-frame lookup tables (shared with ScratchFork views): the FFT
+	// bin and channel estimate of each data/pilot subcarrier, so the
+	// per-symbol loops skip the Bin() modulo and Ĥ gather. The bin
+	// tables depend on the grid only; the rest is rewritten by Bind.
 	selBins   []int // FFT bins of the 52 used subcarriers, for sparse slides
 	dataBins  []int // FFT bin per data subcarrier (scs order)
 	pilotBins []int // FFT bin per pilot subcarrier (pilots order)
@@ -42,6 +50,8 @@ type Frame struct {
 	// to dividing by hData/hPilot; see dsp.Divisor).
 	hDataDiv  []dsp.Divisor
 	hPilotDiv []dsp.Divisor
+	// fork marks a ScratchFork view, whose tables alias its parent's.
+	fork bool
 
 	// Reused observation scratch (see type comment).
 	segP   []dsp.Planar  // batch planar demodulation windows
@@ -50,43 +60,73 @@ type Frame struct {
 	oneOff [1]int       // single-offset scratch for ObserveSymbol
 	pconj  []complex128 // per-call conjugated pilot references
 	pref   []complex128 // per-call pilot references
+	chSum  []complex128 // channel estimation's per-bin LTF sum
+	chOff  []int        // channel estimation's segment offsets (grid-only)
+
+	// Decision slots (see type comment): StandardDecider's lattice
+	// indices and soft confidences.
+	dec  []int
+	conf []float64
 }
 
 // NewFrame creates a frame view and estimates the channel from the two LTF
 // symbols using the standard (CP-skipping) FFT window.
 func NewFrame(g ofdm.Grid, samples []complex128, preambleStart int) (*Frame, error) {
+	return new(Frame).Bind(g, samples, preambleStart)
+}
+
+// Bind points f at a new sample stream and preamble start, re-estimates
+// the channel, and returns f. Every buffer the Frame owns is reused, and
+// so is its demodulator when the grid is unchanged; observations, slices
+// and decisions handed out before the call are overwritten by later use.
+// Binding a ScratchFork view detaches it from its parent first. On error
+// the Frame is unusable until the next successful Bind.
+func (f *Frame) Bind(g ofdm.Grid, samples []complex128, preambleStart int) (*Frame, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	d, err := ofdm.NewDemodulator(g)
-	if err != nil {
-		return nil, err
+	if f.fork {
+		*f = Frame{}
 	}
-	f := &Frame{
-		grid:    g,
-		samples: samples,
-		start:   preambleStart,
-		demod:   d,
-		scs:     ofdm.DataSubcarriers(),
-		pilots:  ofdm.PilotSubcarriers(),
-	}
-	// Every observation this frame serves reads only the 52 used
-	// subcarriers, so slid segment windows are updated sparsely at their
-	// bins (the paper's composite grids leave ~80% of bins unused).
-	for sc := -26; sc <= 26; sc++ {
-		if sc == 0 {
-			continue
+	if f.demod == nil || f.demod.Grid() != g {
+		d, err := ofdm.NewDemodulator(g)
+		if err != nil {
+			return nil, err
 		}
-		f.selBins = append(f.selBins, g.Bin(sc))
+		f.demod = d
+		f.grid = g
+		f.scs = ofdm.DataSubcarriers()
+		f.pilots = ofdm.PilotSubcarriers()
+		// Every observation this frame serves reads only the 52 used
+		// subcarriers, so slid segment windows are updated sparsely at
+		// their bins (the paper's composite grids leave ~80% of bins
+		// unused).
+		f.selBins = f.selBins[:0]
+		for sc := -26; sc <= 26; sc++ {
+			if sc != 0 {
+				f.selBins = append(f.selBins, g.Bin(sc))
+			}
+		}
+		f.dataBins = f.dataBins[:0]
+		for _, sc := range f.scs {
+			f.dataBins = append(f.dataBins, g.Bin(sc))
+		}
+		f.pilotBins = f.pilotBins[:0]
+		for _, sc := range f.pilots {
+			f.pilotBins = append(f.pilotBins, g.Bin(sc))
+		}
+		f.pconj = resize(f.pconj, len(f.pilots))
+		f.pref = resize(f.pref, len(f.pilots))
+		// Channel estimation's segments: stride of one native sample
+		// over the upper half of the CP, which is ISI-free for any delay
+		// spread up to CP/2.
+		stride := max(g.NFFT/64, 1)
+		f.chOff = f.chOff[:0]
+		for o := g.CP / 2; o <= g.CP; o += stride {
+			f.chOff = append(f.chOff, o)
+		}
 	}
-	for _, sc := range f.scs {
-		f.dataBins = append(f.dataBins, g.Bin(sc))
-	}
-	for _, sc := range f.pilots {
-		f.pilotBins = append(f.pilotBins, g.Bin(sc))
-	}
-	f.pconj = make([]complex128, len(f.pilots))
-	f.pref = make([]complex128, len(f.pilots))
+	f.samples, f.start = samples, preambleStart
 	if err := f.estimateChannel(); err != nil {
 		return nil, err
 	}
@@ -95,11 +135,12 @@ func NewFrame(g ofdm.Grid, samples []complex128, preambleStart int) (*Frame, err
 
 // ScratchFork returns a view of the frame for one worker goroutine of a
 // parallel symbol decode: it shares every immutable input — the sample
-// stream, grid, channel estimate and bin tables — but owns its demodulator
-// and observation scratch, so observations on the fork never race with (or
-// clobber the buffers of) observations on the parent or on sibling forks.
-// The shared state is read-only after NewFrame, making concurrent
-// observations on different forks safe.
+// stream, grid, channel estimate and bin tables — but owns its
+// demodulator, observation scratch and decision slots, so observations
+// and decisions on the fork never race with (or clobber the buffers of)
+// those on the parent or on sibling forks. The shared state is read-only
+// until the parent's next Bind, making concurrent observations on
+// different forks safe; a fork must not outlive that Bind.
 func (f *Frame) ScratchFork() (*Frame, error) {
 	d, err := ofdm.NewDemodulator(f.grid)
 	if err != nil {
@@ -107,12 +148,22 @@ func (f *Frame) ScratchFork() (*Frame, error) {
 	}
 	g := *f
 	g.demod = d
+	g.fork = true
 	g.segP = nil
 	g.obs = nil
 	g.preSeg = nil
 	g.pconj = make([]complex128, len(f.pilots))
 	g.pref = make([]complex128, len(f.pilots))
+	g.dec, g.conf = nil, nil
 	return &g, nil
+}
+
+// decisionSlots returns the Frame's decision and confidence slots sized
+// for the data subcarriers (see the type comment for their lifetime).
+func (f *Frame) decisionSlots() ([]int, []float64) {
+	f.dec = resize(f.dec, len(f.scs))
+	f.conf = resize(f.conf, len(f.scs))
+	return f.dec, f.conf
 }
 
 // estimateChannel averages the LTF observations over both training symbols
@@ -124,17 +175,10 @@ func (f *Frame) ScratchFork() (*Frame, error) {
 // frequency). Every receiver variant shares this estimate.
 func (f *Frame) estimateChannel() error {
 	starts := ofdm.LTFSymbolStarts(f.grid)
-	// Segment stride of one native sample; use the upper half of the CP,
-	// which is ISI-free for any delay spread up to CP/2.
-	stride := f.grid.NFFT / 64
-	if stride < 1 {
-		stride = 1
-	}
-	var offsets []int
-	for o := f.grid.CP / 2; o <= f.grid.CP; o += stride {
-		offsets = append(offsets, o)
-	}
-	sum := make([]complex128, f.grid.NFFT)
+	offsets := f.chOff
+	f.chSum = resize(f.chSum, f.grid.NFFT)
+	sum := f.chSum
+	clear(sum)
 	n := 0
 	for _, s := range starts {
 		var err error
@@ -151,7 +195,7 @@ func (f *Frame) estimateChannel() error {
 			n++
 		}
 	}
-	raw := make([]complex128, 53) // indexed by sc+26
+	var raw [53]complex128 // indexed by sc+26
 	for sc := -26; sc <= 26; sc++ {
 		l := ofdm.LTFValue(sc)
 		if l == 0 {
@@ -160,7 +204,8 @@ func (f *Frame) estimateChannel() error {
 		raw[sc+26] = sum[f.grid.Bin(sc)] / (complex(float64(n), 0) * l)
 	}
 	// Frequency smoothing: 5-wide moving average over used subcarriers.
-	f.h = make([]complex128, f.grid.NFFT)
+	f.h = resize(f.h, f.grid.NFFT)
+	clear(f.h)
 	for sc := -26; sc <= 26; sc++ {
 		if ofdm.LTFValue(sc) == 0 {
 			continue
@@ -177,14 +222,14 @@ func (f *Frame) estimateChannel() error {
 		}
 		f.h[f.grid.Bin(sc)] = acc / complex(float64(cnt), 0)
 	}
-	f.hData = make([]complex128, len(f.scs))
-	f.hDataDiv = make([]dsp.Divisor, len(f.scs))
+	f.hData = resize(f.hData, len(f.scs))
+	f.hDataDiv = resize(f.hDataDiv, len(f.scs))
 	for i, b := range f.dataBins {
 		f.hData[i] = f.h[b]
 		f.hDataDiv[i] = dsp.NewDivisor(f.h[b])
 	}
-	f.hPilot = make([]complex128, len(f.pilots))
-	f.hPilotDiv = make([]dsp.Divisor, len(f.pilots))
+	f.hPilot = resize(f.hPilot, len(f.pilots))
+	f.hPilotDiv = resize(f.hPilotDiv, len(f.pilots))
 	for i, b := range f.pilotBins {
 		f.hPilot[i] = f.h[b]
 		f.hPilotDiv[i] = dsp.NewDivisor(f.h[b])
@@ -202,7 +247,8 @@ func (f *Frame) Samples() []complex128 { return f.samples }
 func (f *Frame) Start() int { return f.start }
 
 // ChannelEstimate returns the per-bin channel estimate Ĥ (zero on unused
-// bins). The returned slice must not be modified.
+// bins). The returned slice must not be modified; the next Bind rewrites
+// it.
 func (f *Frame) ChannelEstimate() []complex128 { return f.h }
 
 // ChannelAt returns Ĥ at a signed subcarrier index.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -207,33 +208,6 @@ func TestDecodeDataReportsFailingSymbol(t *testing.T) {
 	}
 }
 
-// reusingDecider is the standard slicer returning decisions and
-// confidences in reused slices, so a decode through it allocates only
-// what the decode itself does.
-type reusingDecider struct {
-	idxs []int
-	conf []float64
-}
-
-func (d *reusingDecider) DecideSymbol(f *Frame, symIdx int, cons *modem.Constellation) ([]int, error) {
-	idxs, _, err := d.DecideSymbolSoft(f, symIdx, cons)
-	return idxs, err
-}
-
-func (d *reusingDecider) DecideSymbolSoft(f *Frame, symIdx int, cons *modem.Constellation) ([]int, []float64, error) {
-	obs, err := f.ObserveSymbol(symIdx, f.Grid().CP)
-	if err != nil {
-		return nil, nil, err
-	}
-	d.idxs = resize(d.idxs, len(obs.Data))
-	d.conf = resize(d.conf, len(obs.Data))
-	for i, v := range obs.Data {
-		d.idxs[i] = cons.Nearest(v)
-		d.conf[i] = 1
-	}
-	return d.idxs, d.conf, nil
-}
-
 // TestDecodeDataAllocsFlatInSymbols checks that a serial decode's
 // allocations do not grow with the symbol count: decoding a 1000-octet
 // PSDU allocates no more than decoding a 10-octet one, hard and soft.
@@ -251,8 +225,8 @@ func TestDecodeDataAllocsFlatInSymbols(t *testing.T) {
 		for i, n := range []int{10, 1000} {
 			f, _, psdu := buildFrame(t, int64(60+i), "QPSK 1/2", n, nil, 10000, 5)
 			mcs, _ := wifi.MCSByName("QPSK 1/2")
-			d := &reusingDecider{}
-			for range 2 { // warm the pools and the decider's slices
+			d := StandardDecider{}
+			for range 2 { // warm the pools and the frame's decision slots
 				if res, err := decode(f, mcs, n, d); err != nil || !res.FCSOK || !bytes.Equal(res.PSDU, psdu) {
 					t.Fatalf("soft=%v %d octets: clean decode failed: %v", soft, n, err)
 				}
@@ -270,12 +244,19 @@ func TestDecodeDataAllocsFlatInSymbols(t *testing.T) {
 	}
 }
 
-// TestScratchForkObservationsMatch checks that observations on a fork are
-// bit-identical to observations on the parent frame.
+// TestScratchForkObservationsMatch checks that observations and standard
+// decisions on a fork are bit-identical to those on the parent frame, and
+// come from the fork's own buffers.
 func TestScratchForkObservationsMatch(t *testing.T) {
 	f, _, _ := parallelTestFrame(t, 20)
 	segs, err := ofdm.SegmentPlan(f.Grid().CP, 2, 8, 4)
 	if err != nil {
+		t.Fatal(err)
+	}
+	cons := modem.New(modem.QAM16)
+	// Fill the parent's decision slots before forking, so a fork that
+	// inherited them would hand out the same buffers.
+	if _, _, err := (StandardDecider{}).DecideSymbolSoft(f, 0, cons); err != nil {
 		t.Fatal(err)
 	}
 	fork, err := f.ScratchFork()
@@ -302,5 +283,19 @@ func TestScratchForkObservationsMatch(t *testing.T) {
 		if &got[i].Data[0] == &want[i].Data[0] {
 			t.Fatalf("segment %d: fork handed out the parent's scratch buffer", i)
 		}
+	}
+	wantIdx, wantConf, err := StandardDecider{}.DecideSymbolSoft(f, 1, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotIdx, gotConf, err := StandardDecider{}.DecideSymbolSoft(fork, 1, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gotIdx, wantIdx) || !slices.Equal(gotConf, wantConf) {
+		t.Fatal("fork decisions differ from the parent's")
+	}
+	if &gotIdx[0] == &wantIdx[0] || &gotConf[0] == &wantConf[0] {
+		t.Fatal("fork handed out the parent's decision slots")
 	}
 }

@@ -386,3 +386,91 @@ func BenchmarkDecodeData400BQPSK(b *testing.B) {
 		}
 	}
 }
+
+// TestFrameBindMatchesNewFrame re-binds one Frame to packets on the
+// native and a 4× composite grid in turn and requires the channel
+// estimate, the noise estimate, multi-segment and preamble observations
+// and the standard soft decisions to match a fresh NewFrame bit for bit
+// after every Bind.
+func TestFrameBindMatchesNewFrame(t *testing.T) {
+	type packet struct {
+		g       ofdm.Grid
+		samples []complex128
+		start   int
+	}
+	var pkts []packet
+	for i, snr := range []float64{20, 12} {
+		f, _, _ := buildFrame(t, int64(70+i), "16-QAM 1/2", 60, channel.Indoor2Tap(), snr, 5)
+		pkts = append(pkts, packet{f.Grid(), f.Samples(), f.Start()})
+	}
+	wide := ofdm.WideGrid(256, 64, 4, 64)
+	mcs, _ := wifi.MCSByName("16-QAM 1/2")
+	r := dsp.NewRand(72)
+	p, err := wifi.BuildPPDU(wifi.TxConfig{Grid: wide, MCS: mcs, Gain: 1}, wifi.BuildPSDU(r.Bytes(56)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := make([]complex128, len(p.Samples)+40)
+	dsp.AddInto(stream, p.Samples, 20)
+	channel.AWGN(r, stream, channel.NoisePowerForSNR(dsp.Power(p.Samples), 18))
+	pkts = append(pkts, packet{wide, stream, 20})
+
+	cons := modem.New(mcs.Scheme)
+	var bound Frame
+	for step, k := range []int{0, 2, 1, 0, 2, 2, 1} {
+		pk := pkts[k]
+		got, err := bound.Bind(pk.g, pk.samples, pk.start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewFrame(pk.g, pk.samples, pk.start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := pk.g.NFFT / 64
+		segs, err := ofdm.SegmentPlan(pk.g.CP, q, 8, 2*q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same := func(what string, a, b []complex128) {
+			t.Helper()
+			for i := range b {
+				if math.Float64bits(real(a[i])) != math.Float64bits(real(b[i])) || math.Float64bits(imag(a[i])) != math.Float64bits(imag(b[i])) {
+					t.Fatalf("step %d (packet %d): %s [%d] %v, fresh frame %v", step, k, what, i, a[i], b[i])
+				}
+			}
+		}
+		same("channel estimate", got.ChannelEstimate(), want.ChannelEstimate())
+		gn, _ := got.NoiseEstimate()
+		wn, _ := want.NoiseEstimate()
+		if math.Float64bits(gn) != math.Float64bits(wn) {
+			t.Fatalf("step %d: noise estimate %v, fresh frame %v", step, gn, wn)
+		}
+		gp, err := got.ObservePreambleAll(segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wp, _ := want.ObservePreambleAll(segs)
+		for j := range wp {
+			same("preamble observation", gp[j][0], wp[j][0])
+			same("preamble observation", gp[j][1], wp[j][1])
+		}
+		for sym := 0; sym < 3; sym++ {
+			gs, err := got.ObserveSegments(sym, segs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws, _ := want.ObserveSegments(sym, segs)
+			for j := range ws {
+				same("segment observation", gs[j].Data, ws[j].Data)
+			}
+			gi, gc, _ := StandardDecider{}.DecideSymbolSoft(got, sym, cons)
+			wi, wc, _ := StandardDecider{}.DecideSymbolSoft(want, sym, cons)
+			for i := range wi {
+				if gi[i] != wi[i] || math.Float64bits(gc[i]) != math.Float64bits(wc[i]) {
+					t.Fatalf("step %d symbol %d sc %d: decision (%d, %v), fresh frame (%d, %v)", step, sym, i, gi[i], gc[i], wi[i], wc[i])
+				}
+			}
+		}
+	}
+}

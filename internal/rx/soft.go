@@ -30,34 +30,35 @@ type SoftSymbolDecider interface {
 
 // DecideSymbolSoft implements SoftSymbolDecider for the standard receiver:
 // the confidence of each subcarrier is its distance margin between the two
-// nearest lattice points.
+// nearest lattice points. On the square 802.11 lattices the runner-up to
+// the nearest point is always one of that point's edge neighbours
+// (diagonal and farther points are never closer), so only those are
+// measured. The decisions and confidences live in the Frame's decision
+// slots, overwritten by the next decision on f (hard or soft).
 func (StandardDecider) DecideSymbolSoft(f *Frame, symIdx int, cons *modem.Constellation) ([]int, []float64, error) {
 	obs, err := f.ObserveSymbol(symIdx, f.Grid().CP)
 	if err != nil {
 		return nil, nil, err
 	}
-	idxs := make([]int, len(obs.Data))
-	conf := make([]float64, len(obs.Data))
-	md := cons.MinDistance()
+	idxs, conf := f.decisionSlots()
 	for i, v := range obs.Data {
-		best := cons.Nearest(v)
-		idxs[i] = best
-		d1 := cmplx.Abs(v - cons.Point(best))
-		d2 := d1
-		first := true
-		for li, p := range cons.Points() {
-			if li == best {
-				continue
-			}
-			d := cmplx.Abs(v - p)
-			if first || d < d2 {
-				d2 = d
-				first = false
-			}
-		}
-		conf[i] = (d2 - d1) / md
+		idxs[i], conf[i] = standardMargin(v, cons)
 	}
 	return idxs, conf, nil
+}
+
+// standardMargin returns the lattice point nearest to v and its distance
+// margin to the runner-up, over the minimum distance.
+func standardMargin(v complex128, cons *modem.Constellation) (int, float64) {
+	best := cons.Nearest(v)
+	d1 := cmplx.Abs(v - cons.Point(best))
+	d2 := d1
+	for k, li := range cons.Neighbours(best) {
+		if d := cmplx.Abs(v - cons.Point(li)); k == 0 || d < d2 {
+			d2 = d
+		}
+	}
+	return best, (d2 - d1) / cons.MinDistance()
 }
 
 // softSymbolLLRs decides symbol k on f with the soft decider and writes

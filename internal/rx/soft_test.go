@@ -3,6 +3,9 @@ package rx
 import (
 	"bytes"
 	"math"
+	"math/cmplx"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/channel"
@@ -10,6 +13,9 @@ import (
 	"repro/internal/wifi"
 )
 
+// TestStandardSoftMatchesHardDecisions compares the standard hard and
+// soft decisions of the same frame. Both land in the Frame's one
+// decision slot, so the hard decisions are copied before the soft call.
 func TestStandardSoftMatchesHardDecisions(t *testing.T) {
 	f, p, _ := buildFrame(t, 30, "16-QAM 1/2", 80, channel.Indoor2Tap(), 20, 5)
 	cons := modem.New(p.Cfg.MCS.Scheme)
@@ -18,6 +24,7 @@ func TestStandardSoftMatchesHardDecisions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		hard = slices.Clone(hard)
 		soft, conf, err := (StandardDecider{}).DecideSymbolSoft(f, k, cons)
 		if err != nil {
 			t.Fatal(err)
@@ -28,6 +35,59 @@ func TestStandardSoftMatchesHardDecisions(t *testing.T) {
 			}
 			if conf[i] < 0 {
 				t.Fatalf("negative confidence %v", conf[i])
+			}
+		}
+	}
+}
+
+// fullScanMargin is the standard soft margin as first written: the
+// runner-up distance is the minimum over every other lattice point.
+func fullScanMargin(v complex128, cons *modem.Constellation) (int, float64) {
+	best := cons.Nearest(v)
+	d1 := cmplx.Abs(v - cons.Point(best))
+	d2 := d1
+	first := true
+	for li, p := range cons.Points() {
+		if li == best {
+			continue
+		}
+		d := cmplx.Abs(v - p)
+		if first || d < d2 {
+			d2 = d
+			first = false
+		}
+	}
+	return best, (d2 - d1) / cons.MinDistance()
+}
+
+// TestStandardMarginMatchesFullScan pins the edge-neighbour runner-up
+// search of the standard soft decision to the full lattice scan, bit for
+// bit, at every scheme: random points over and beyond the constellation,
+// every lattice point, cell edge midpoint and cell corner (exact ties
+// between two or four points), and points far outside the outer ring.
+func TestStandardMarginMatchesFullScan(t *testing.T) {
+	r := rand.New(rand.NewPCG(19, 1))
+	for _, s := range []modem.Scheme{modem.BPSK, modem.QPSK, modem.QAM16, modem.QAM64, modem.QAM256} {
+		cons := modem.New(s)
+		pts := cons.Points()
+		var vs []complex128
+		for range 20000 {
+			vs = append(vs, complex(3*r.NormFloat64(), 3*r.NormFloat64()))
+			vs = append(vs, complex(0.1*r.NormFloat64(), 0.1*r.NormFloat64())+pts[r.IntN(len(pts))])
+		}
+		// Lattice points, midpoints of every pair (cell edges for
+		// neighbours, corners for diagonals) and points pushed outward.
+		for i, p := range pts {
+			vs = append(vs, p, 2*p, 10*p, 1e6*p, p+complex(cons.MinDistance()/2, 0))
+			for _, q := range pts[i+1:] {
+				vs = append(vs, (p+q)/2)
+			}
+		}
+		for _, v := range vs {
+			gb, gc := standardMargin(v, cons)
+			wb, wc := fullScanMargin(v, cons)
+			if gb != wb || math.Float64bits(gc) != math.Float64bits(wc) {
+				t.Fatalf("%v at %v: neighbour search (%d, %v), full scan (%d, %v)", s, v, gb, gc, wb, wc)
 			}
 		}
 	}

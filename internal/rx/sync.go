@@ -15,10 +15,15 @@
 // ObservePreambleAll) demodulate all P windows of a symbol in one batch on
 // the planar sliding-DFT path, sparsely at the 52 used subcarrier bins,
 // and hand out Frame-owned scratch buffers — the per-symbol hot path
-// performs no allocation. DecodeDataParallel fans the per-symbol
-// decisions of one packet across workers (per-worker Frame.ScratchFork
-// scratch, ParallelDecider forks, symbol-ordered merge) with output
-// bit-identical to the serial DecodeData.
+// performs no allocation. StandardDecider's decisions and confidences
+// likewise live in the Frame's decision slots, valid until the next
+// decision on that Frame; each ScratchFork view has its own. Frame.Bind
+// re-targets a Frame at the next packet in place, so a caller that
+// recycles its Frame allocates nothing per packet. DecodeDataParallel
+// fans the per-symbol decisions of one packet across workers
+// (per-worker Frame.ScratchFork scratch, ParallelDecider forks,
+// symbol-ordered merge) with output bit-identical to the serial
+// DecodeData.
 package rx
 
 import (
