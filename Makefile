@@ -28,11 +28,11 @@ test-purego:
 # distributed coordinator/worker tier (and the packages whose shared
 # caches they exercise), the shared job event log and SSE writer that
 # serve concurrent subscribers in both tiers (internal/api and the
-# cprecycle-bench HTTP surface), the intra-packet parallel symbol decode
-# in rx (hard and soft, with the pooled soft-decode scratch), the dsp
+# cprecycle-bench HTTP surface), the pooled hard and soft decode
+# scratch in rx, the dsp
 # kernel dispatch (shared SlideTab/FFT-plan caches + the ForceScalar
 # toggle), the Viterbi decoder's pooled survivor, int8 and float64
-# scratch that the parallel decoders share, the shared constellations
+# scratch that concurrent packet decodes share, the shared constellations
 # built on first use, and the pooled packet state that concurrent
 # RunPacket calls share through internal/experiments: the transmit
 # scratch (composites, interferer streams, modulators) of
@@ -44,10 +44,11 @@ test-race-sweep:
 	$(GO) test -race ./internal/sweep/... ./internal/api/ ./cmd/cprecycle-bench/ ./internal/wifi/ ./internal/experiments/ ./internal/rx/ ./internal/core/ ./internal/dsp/ ./internal/coding/ ./internal/interference/ ./internal/modem/ ./internal/ofdm/
 
 # Short end-to-end sweep through the engine (sharded workers + waveform
-# pool) plus a 2-worker parallel-decode equivalence check, as run in CI.
+# pool) plus a decision-equivalence check (pinned per-arm counts, and
+# reused packet state against fresh decodes), as run in CI.
 smoke:
 	$(GO) run ./cmd/cprecycle-bench -experiment fig8 -packets 8 -bytes 60 -pool
-	$(GO) test -run 'TestDecodeData(Soft)?Parallel(MatchesSerial|Fallbacks)|TestRunPSRParallelDecodeRegression' ./internal/rx/ ./internal/experiments/
+	$(GO) test -run 'TestRunPSRSameSeedRegression|TestRunPacketReuseMatchesFresh' ./internal/experiments/
 
 # Distributed smoke: coordinator + two worker processes on localhost run
 # the same short fig8 sweep, streamed over SSE, and the final table must
@@ -65,11 +66,12 @@ bench:
 # observation, Viterbi (float decode; the hard decode at the aci-fresh
 # packet size and the soft decode at the aci-pooled-soft size, each with
 # its ForceScalar twin), sliding kernels, and at packet size one Fig 8
-# ACI synthesis (Scenario.Run) and one whole aci-fresh and
-# aci-pooled-soft packet (PSRPlan.RunPacket).
+# ACI synthesis (Scenario.Run), one whole aci-fresh and
+# aci-pooled-soft packet (PSRPlan.RunPacket), and one aci-fresh packet
+# through every receiver arm.
 bench-hotpath:
 	$(GO) test -bench 'BenchmarkScenarioRunACI' -benchtime 200x -benchmem -run '^$$' ./internal/interference/
-	$(GO) test -bench 'BenchmarkRunPacketACI|BenchmarkRunPacketSoft' -benchtime 200x -benchmem -run '^$$' ./internal/experiments/
+	$(GO) test -bench 'BenchmarkRunPacketACI|BenchmarkRunPacketSoft|BenchmarkRunPacketAllArms' -benchtime 200x -benchmem -run '^$$' ./internal/experiments/
 	$(GO) test -bench 'BenchmarkSegment' -benchtime 2000x -run '^$$' ./internal/ofdm/
 	$(GO) test -bench 'BenchmarkObserve' -benchtime 2000x -run '^$$' ./internal/rx/
 	$(GO) test -bench 'BenchmarkViterbiDecode' -benchtime 500x -run '^$$' ./internal/coding/

@@ -39,10 +39,10 @@
 // and each arm's core.Receiver reset by Receiver.Bind, so a warm packet
 // allocates only each arm's decoded bits and PSDU. Buffer ownership
 // follows one rule throughout: observations and decisions a Frame or
-// Receiver hands out (rx.Observation.Data, StandardDecider's decision
-// and confidence slots on the Frame, a Receiver's decisions) are scratch
-// of that Frame or Receiver, valid until its next call or Bind, and a
-// Frame.ScratchFork view has its own.
+// decider hands out (rx.Observation.Data, StandardDecider's decision
+// and confidence slots on the Frame, the decisions of a core.Receiver,
+// NaiveDecider or OracleDecider) are scratch of that Frame or decider,
+// valid until its next call or Bind.
 // The hottest planar kernels additionally run hand-written SIMD — AVX2
 // on amd64 (runtime CPUID dispatch) and NEON on arm64 — with the Go
 // loops kept as a complete scalar fallback (purego build tag,
@@ -58,21 +58,16 @@
 // same dispatch and ForceScalar switch as the dsp kernels, and the soft
 // decode's LLR streams come from pools as the hard decode's do.
 //
-// Within one packet, one rx symbol loop serves hard and soft, serial
-// and parallel DATA decoding (rx.DecodeData, rx.DecodeDataSoft and their
-// …Parallel forms): it splits the symbols by stride across a bounded set
-// of workers — the first on the caller's goroutine, each other on its own
-// Frame.ScratchFork observation scratch and rx.ParallelDecider fork — and
-// every worker writes each symbol's deinterleaved coded bits (hard) or
-// Viterbi bit weights (soft) into that symbol's slot of one pooled packet
-// stream. The determinism contract: parallel decode is bit-identical to
-// serial decode at any worker count; deciders whose state makes decisions
-// order-dependent (CPRecycle's §4.3 continuous model update) refuse to
-// fork and run serially. experiments.RunPacket engages it with the cores
-// packet-level sharding leaves idle. A same-seed regression test
+// Within one packet, one rx symbol loop serves hard and soft DATA
+// decoding (rx.DecodeData, rx.DecodeDataSoft): it decides the symbols in
+// order on the packet's goroutine — CPRecycle's §4.3 continuous model
+// update makes each decision depend on the symbols before it — and
+// writes each symbol's deinterleaved coded bits (hard) or Viterbi bit
+// weights (soft) into that symbol's slot of one pooled packet stream.
+// Parallelism lives at the packet level: RunPSR and the sweep engine
+// spread a point's packets across workers. A same-seed regression test
 // (internal/experiments) pins every receiver arm's packet decisions to
-// the pre-optimisation implementation, with parallel decode both off
-// and forced on.
+// the pre-optimisation implementation.
 //
 // The PSR sweep experiments run as a batch service: internal/sweep is a
 // sharded engine that decomposes each figure into independent measurement

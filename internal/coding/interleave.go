@@ -104,8 +104,8 @@ func (il *Interleaver) DeinterleaveLLR(llrs []float64) []float64 {
 }
 
 // DeinterleaveLLRInto is DeinterleaveLLR into a caller-provided block of
-// Ncbps weights, avoiding the allocation (the parallel soft decode fans
-// symbol blocks directly into one packet-wide LLR stream).
+// Ncbps weights, avoiding the allocation (the soft decode writes each
+// symbol's block directly into one packet-wide LLR stream).
 func (il *Interleaver) DeinterleaveLLRInto(dst, llrs []float64) {
 	if len(llrs) != il.ncbps || len(dst) != il.ncbps {
 		panic(fmt.Sprintf("coding: deinterleave block sizes %d/%d, want %d", len(dst), len(llrs), il.ncbps))

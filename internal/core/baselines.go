@@ -19,14 +19,13 @@ import (
 type NaiveDecider struct {
 	// Segments lists the CP offsets to combine.
 	Segments []int
+
+	out []int
 }
 
-// ForkDecider implements rx.ParallelDecider: the naive decoder holds no
-// cross-symbol state, so it forks to itself.
-func (n NaiveDecider) ForkDecider() (rx.SymbolDecider, bool) { return n, true }
-
-// DecideSymbol implements rx.SymbolDecider.
-func (n NaiveDecider) DecideSymbol(f *rx.Frame, symIdx int, cons *modem.Constellation) ([]int, error) {
+// DecideSymbol implements rx.SymbolDecider. The decisions live in the
+// decider's scratch, overwritten by its next call.
+func (n *NaiveDecider) DecideSymbol(f *rx.Frame, symIdx int, cons *modem.Constellation) ([]int, error) {
 	if len(n.Segments) == 0 {
 		return nil, fmt.Errorf("core: naive decoder has no segments")
 	}
@@ -35,7 +34,10 @@ func (n NaiveDecider) DecideSymbol(f *rx.Frame, symIdx int, cons *modem.Constell
 		return nil, err
 	}
 	nSC := f.DataSubcarrierCount()
-	out := make([]int, nSC)
+	if len(n.out) != nSC {
+		n.out = make([]int, nSC)
+	}
+	out := n.out
 	for i := 0; i < nSC; i++ {
 		best, bestSum := 0, math.Inf(1)
 		for li, l := range cons.Points() {
@@ -68,13 +70,6 @@ type OracleDecider struct {
 	ip    []dsp.Planar // reused interference window buffers
 	sel   []int        // data-subcarrier bins, for sparse slides
 	out   []int
-}
-
-// ForkDecider implements rx.ParallelDecider: per-symbol oracle choices
-// depend only on the interference stream, so a fork is a fresh decider
-// over the same inputs (demodulation scratch is rebuilt lazily).
-func (o *OracleDecider) ForkDecider() (rx.SymbolDecider, bool) {
-	return &OracleDecider{InterferenceOnly: o.InterferenceOnly, Segments: o.Segments}, true
 }
 
 // DecideSymbol implements rx.SymbolDecider.

@@ -219,7 +219,7 @@ func TestDeciderOrderingACI(t *testing.T) {
 		}
 		for name, d := range map[string]rx.SymbolDecider{
 			"std":     rx.StandardDecider{},
-			"naive":   NaiveDecider{Segments: segs},
+			"naive":   &NaiveDecider{Segments: segs},
 			"oracle":  &OracleDecider{InterferenceOnly: c.InterferenceOnly, Segments: segs},
 			"cpr":     cpr,
 			"noTrack": noTrack,
@@ -253,7 +253,7 @@ func TestNaiveDecoderWorksAtMildInterference(t *testing.T) {
 	s := aciScenario(-10, 17, 57)
 	f, _, m := runScenario(t, s, 300, "QPSK 1/2", 60)
 	segs := segments16(t, f.Grid())
-	if !decodeWith(t, f, m, 60, NaiveDecider{Segments: segs}) {
+	if !decodeWith(t, f, m, 60, &NaiveDecider{Segments: segs}) {
 		t.Fatal("naive decoder should handle SIR -10 dB QPSK")
 	}
 }
@@ -448,7 +448,7 @@ func TestNaiveDeciderValidation(t *testing.T) {
 	s := &interference.Scenario{Q: 1, SNRdB: 30}
 	f, _, m := runScenario(t, s, 1100, "QPSK 1/2", 40)
 	cons := modem.New(m.Scheme)
-	if _, err := (NaiveDecider{}).DecideSymbol(f, 0, cons); err == nil {
+	if _, err := (&NaiveDecider{}).DecideSymbol(f, 0, cons); err == nil {
 		t.Fatal("naive decoder without segments should fail")
 	}
 	if _, err := (&OracleDecider{}).DecideSymbol(f, 0, cons); err == nil {

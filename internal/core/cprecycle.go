@@ -306,43 +306,6 @@ func (r *Receiver) ModelFor(i int) *kde.Bivariate {
 // segment index j (into Config.Segments) and data subcarrier i.
 func (r *Receiver) SegmentScale(j, i int) float64 { return r.scale[j][i] }
 
-// ForkDecider implements rx.ParallelDecider: it returns a receiver
-// sharing this one's immutable training (scales, lazily fitted densities)
-// with fresh decision scratch, so workers of a parallel symbol decode
-// never race. Forking is refused when the continuous model update (§4.3)
-// is active — r.live carries decoded-symbol residuals from one symbol to
-// the next, making decisions order-dependent — in which case callers must
-// decode serially to stay bit-identical.
-func (r *Receiver) ForkDecider() (rx.SymbolDecider, bool) {
-	if r.live != nil {
-		return nil, false
-	}
-	if r.cfg.Decision == DecisionSphereKDE && r.perSeg == nil {
-		// Materialise the pooled densities once on the parent so forks
-		// share the fitted models instead of racing to fit their own.
-		if err := r.ensurePooled(); err != nil {
-			return nil, false
-		}
-	}
-	nSC := len(r.out)
-	P := len(r.cfg.Segments)
-	clone := &Receiver{
-		cfg:      r.cfg,
-		tr:       r.tr,
-		pooled:   r.pooled,
-		perSeg:   r.perSeg,
-		scale:    r.scale,
-		segMean:  r.segMean,
-		out:      make([]int, nSC),
-		w:        make([]float64, P),
-		ratio:    make([]float64, P),
-		pts:      make([]complex128, P),
-		dist:     make([]float64, P),
-		bestDist: make([]float64, P),
-	}
-	return clone, true
-}
-
 // DecideSymbol implements rx.SymbolDecider.
 func (r *Receiver) DecideSymbol(f *rx.Frame, symIdx int, cons *modem.Constellation) ([]int, error) {
 	return r.decide(f, symIdx, cons, nil)

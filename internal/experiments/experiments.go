@@ -122,15 +122,9 @@ type LinkConfig struct {
 	Receivers []ReceiverKind
 	// Workers bounds the packet-level parallelism (default: GOMAXPROCS).
 	Workers int
-	// IntraWorkers bounds the intra-packet parallelism: the number of
-	// workers the rx DATA decode (rx.DecodeDataParallel and its soft
-	// form) splits one packet's OFDM symbols across, per decodable arm,
-	// the first on the packet's own goroutine. 1 forces the serial
-	// decode; 0 picks GOMAXPROCS / packet-workers, i.e. the cores
-	// packet-level sharding leaves idle — so a fully occupied sweep
-	// stays serial per packet while a single-packet (or worker-starved)
-	// run uses the spare cores to cut latency. Decisions are
-	// bit-identical at any setting.
+	// IntraWorkers is ignored: each arm decodes a packet's OFDM symbols
+	// in order on the packet's own goroutine. The field is kept only
+	// because the perfbench harness still assigns it.
 	IntraWorkers int
 	// CoreTweak, when set, adjusts the CPRecycle configuration of the
 	// CPRecycle* arms (used by the ablation benches to sweep sphere
@@ -189,9 +183,8 @@ func segmentPlanFor(g ofdm.Grid, num int, ch *channel.Multipath, strideDiv int) 
 // A PSRPlan is immutable and safe for concurrent RunPacket/RunRange calls
 // from multiple goroutines.
 type PSRPlan struct {
-	cfg   LinkConfig
-	segs  []int
-	intra int // resolved intra-packet decode workers (≥ 1)
+	cfg  LinkConfig
+	segs []int
 	// wrapDecider, when set, replaces each arm's decider before decoding
 	// (tests use it to record per-symbol decisions).
 	wrapDecider func(pkt, arm int, d rx.SymbolDecider) rx.SymbolDecider
@@ -218,24 +211,7 @@ func PlanPSR(cfg LinkConfig) (*PSRPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	intra := cfg.IntraWorkers
-	if intra <= 0 {
-		// Auto: hand each packet the cores that packet-level sharding
-		// leaves idle (when packets outnumber cores there are none and
-		// the per-packet decode stays serial).
-		pw := cfg.Workers
-		if pw <= 0 {
-			pw = runtime.GOMAXPROCS(0)
-		}
-		if pw > cfg.Packets {
-			pw = cfg.Packets
-		}
-		intra = runtime.GOMAXPROCS(0) / pw
-		if intra < 1 {
-			intra = 1
-		}
-	}
-	return &PSRPlan{cfg: cfg, segs: segs, intra: intra}, nil
+	return &PSRPlan{cfg: cfg, segs: segs}, nil
 }
 
 // Config returns the plan's normalised configuration.
@@ -403,7 +379,8 @@ func (p *PSRPlan) runPacket(pb *packetBuf, pkt int, ok []bool, res []rx.Result) 
 			decider = rx.StandardDecider{}
 			soft = true
 		case Naive:
-			decider = core.NaiveDecider{Segments: segs}
+			arm.naive.Segments = segs
+			decider = &arm.naive
 		case Oracle:
 			arm.oracle.InterferenceOnly, arm.oracle.Segments = c.InterferenceOnly, segs
 			decider = &arm.oracle
@@ -454,14 +431,11 @@ func (p *PSRPlan) runPacket(pb *packetBuf, pkt int, ok []bool, res []rx.Result) 
 		if p.wrapDecider != nil {
 			decider = p.wrapDecider(pkt, ai, decider)
 		}
-		// Fan this packet's symbols across the idle cores; at intra <= 1,
-		// or for deciders whose state forbids forking, the decode runs
-		// serially, so results are bit-identical either way.
-		decode := rx.DecodeDataParallel
+		decode := rx.DecodeData
 		if soft {
-			decode = rx.DecodeDataSoftParallel
+			decode = rx.DecodeDataSoft
 		}
-		out, err := decode(f, cfg.MCS, len(psdu), decider, p.intra)
+		out, err := decode(f, cfg.MCS, len(psdu), decider)
 		if err != nil {
 			return err
 		}
@@ -497,6 +471,7 @@ type armBuf struct {
 	segs   []int // the arm's own copy of the plan's segments
 	conf   core.Config
 	cpr    core.Receiver
+	naive  core.NaiveDecider
 	oracle core.OracleDecider
 }
 

@@ -30,7 +30,6 @@ func TestFingerprintStable(t *testing.T) {
 		c := planFor(t, req)
 		for i := range c.Points {
 			c.Points[i].Cfg.Workers = 3
-			c.Points[i].Cfg.IntraWorkers = 2
 		}
 		if a.Fingerprint() != c.Fingerprint() {
 			t.Errorf("%s: fingerprint depends on worker counts", name)

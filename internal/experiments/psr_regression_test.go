@@ -31,11 +31,7 @@ func TestRunPSRSameSeedRegression(t *testing.T) {
 		PSDUBytes: 150,
 		Packets:   30,
 		Seed:      7,
-		// Pin the SERIAL decode path regardless of host core count (the
-		// auto rule would engage parallel decode on many-core machines;
-		// TestRunPSRParallelDecodeRegression covers that path).
-		IntraWorkers: 1,
-		Receivers:    []ReceiverKind{Standard, Naive, Oracle, CPRecycle, CPRecycleKDE, CPRecycleSoft},
+		Receivers: []ReceiverKind{Standard, Naive, Oracle, CPRecycle, CPRecycleKDE, CPRecycleSoft},
 	}
 	checkPSR(t, "ACI", aci, map[ReceiverKind]int{
 		Standard:      10,
@@ -51,13 +47,12 @@ func TestRunPSRSameSeedRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	cci := LinkConfig{
-		Scenario:     CCIScenario(8, OperatingSNR(m2.Name)),
-		MCS:          m2,
-		PSDUBytes:    100,
-		Packets:      20,
-		Seed:         11,
-		IntraWorkers: 1,
-		Receivers:    []ReceiverKind{Standard, CPRecycle, CPRecycleNoTrack},
+		Scenario:  CCIScenario(8, OperatingSNR(m2.Name)),
+		MCS:       m2,
+		PSDUBytes: 100,
+		Packets:   20,
+		Seed:      11,
+		Receivers: []ReceiverKind{Standard, CPRecycle, CPRecycleNoTrack},
 	}
 	checkPSR(t, "CCI", cci, map[ReceiverKind]int{
 		Standard:         5,
@@ -116,35 +111,6 @@ func TestRunRangeShardedMatchesRegression(t *testing.T) {
 			t.Errorf("%s: sharded OK = %d, want %d — sharding changed receiver decisions", k, counts[i], want[k])
 		}
 	}
-}
-
-// TestRunPSRParallelDecodeRegression re-runs the ACI regression point with
-// intra-packet parallel decode forced on (2 symbol workers per packet):
-// rx.DecodeDataParallel merges per-symbol decisions in symbol order and
-// fork-refusing deciders (the live-updating CPRecycle arms) fall back to
-// serial, so every pinned count must match the serial path byte for byte.
-func TestRunPSRParallelDecodeRegression(t *testing.T) {
-	m, err := wifi.MCSByName("QPSK 1/2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := LinkConfig{
-		Scenario:     ACIScenario(-15, 57, OperatingSNR(m.Name)),
-		MCS:          m,
-		PSDUBytes:    150,
-		Packets:      30,
-		Seed:         7,
-		IntraWorkers: 2,
-		Receivers:    []ReceiverKind{Standard, Naive, Oracle, CPRecycle, CPRecycleKDE, CPRecycleSoft},
-	}
-	checkPSR(t, "ACI-parallel", cfg, map[ReceiverKind]int{
-		Standard:      10,
-		Naive:         17,
-		Oracle:        27,
-		CPRecycle:     18,
-		CPRecycleKDE:  16,
-		CPRecycleSoft: 22,
-	})
 }
 
 func checkPSR(t *testing.T, name string, cfg LinkConfig, want map[ReceiverKind]int) {

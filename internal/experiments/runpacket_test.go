@@ -18,20 +18,19 @@ import (
 // aciPlan is one point of Fig 8's ACI sweep (the aci-fresh benchmark
 // workload's layout): QPSK 1/2 at its operating SNR, an adjacent-channel
 // interferer three 802.11 channels away at sirDB, no waveform pool.
-func aciPlan(tb testing.TB, sirDB float64, psduBytes, packets, intra int, arms []ReceiverKind) *PSRPlan {
+func aciPlan(tb testing.TB, sirDB float64, psduBytes, packets int, arms []ReceiverKind) *PSRPlan {
 	tb.Helper()
 	m, err := wifi.MCSByName("QPSK 1/2")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	plan, err := PlanPSR(LinkConfig{
-		Scenario:     ACIScenario(sirDB, interference.Channel80211Offset(3), OperatingSNR(m.Name)),
-		MCS:          m,
-		PSDUBytes:    psduBytes,
-		Packets:      packets,
-		Seed:         1,
-		IntraWorkers: intra,
-		Receivers:    arms,
+		Scenario:  ACIScenario(sirDB, interference.Channel80211Offset(3), OperatingSNR(m.Name)),
+		MCS:       m,
+		PSDUBytes: psduBytes,
+		Packets:   packets,
+		Seed:      1,
+		Receivers: arms,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -48,7 +47,7 @@ func aciPlan(tb testing.TB, sirDB float64, psduBytes, packets, intra int, arms [
 // a mismatch here or as a report under -race.
 func TestRunPacketConcurrentSharedPlan(t *testing.T) {
 	const packets = 6
-	plan := aciPlan(t, -6, 120, packets, 2, []ReceiverKind{Standard, Oracle, CPRecycle})
+	plan := aciPlan(t, -6, 120, packets, []ReceiverKind{Standard, Oracle, CPRecycle})
 	arms := len(plan.Receivers())
 	want := make([][]bool, packets)
 	for pkt := range want {
@@ -188,9 +187,9 @@ func reuseConfigs(t *testing.T) []LinkConfig {
 	} {
 		cfgs = append(cfgs,
 			LinkConfig{Scenario: ACIScenario(-8, interference.Channel80211Offset(3), OperatingSNR(qpsk.Name)),
-				MCS: qpsk, PSDUBytes: 100, Packets: 3, Seed: 3, IntraWorkers: 1, Receivers: arms},
+				MCS: qpsk, PSDUBytes: 100, Packets: 3, Seed: 3, Receivers: arms},
 			LinkConfig{Scenario: CCIScenario(12, OperatingSNR(qam.Name)),
-				MCS: qam, PSDUBytes: 100, Packets: 3, Seed: 4, IntraWorkers: 1, Receivers: arms})
+				MCS: qam, PSDUBytes: 100, Packets: 3, Seed: 4, Receivers: arms})
 	}
 	return cfgs
 }
@@ -262,8 +261,9 @@ func TestRunPacketReuseMatchesFresh(t *testing.T) {
 
 // TestRunPacketAllocs pins the steady-state allocations of one packet
 // through RunPacket, after a warm-up packet, at the aci-fresh −6 dB hard
-// point and the aci-pooled-soft −10 dB soft point: the frame,
-// demodulator, training and receivers are all reused from the packet
+// point (with the standard and cprecycle arms, and with the Naive and
+// Oracle baselines) and the aci-pooled-soft −10 dB soft point: the frame,
+// demodulator, training and deciders are all reused from the packet
 // pool, leaving each arm's decoded bits and PSDU. Skipped under -race,
 // where sync.Pool drops items at random.
 func TestRunPacketAllocs(t *testing.T) {
@@ -275,7 +275,8 @@ func TestRunPacketAllocs(t *testing.T) {
 		name string
 		plan *PSRPlan
 	}{
-		{"aci-fresh -6 dB", aciPlan(t, -6, 400, 64, 1, []ReceiverKind{Standard, CPRecycle})},
+		{"aci-fresh -6 dB", aciPlan(t, -6, 400, 64, []ReceiverKind{Standard, CPRecycle})},
+		{"aci -6 dB naive+oracle", aciPlan(t, -6, 400, 64, []ReceiverKind{Naive, Oracle})},
 		{"aci-pooled-soft -10 dB", softPlan(t)},
 	} {
 		ok := make([]bool, len(c.plan.Receivers()))
@@ -299,7 +300,7 @@ func TestRunPacketAllocs(t *testing.T) {
 // softPlan is the aci-pooled-soft workload's −10 dB point: the
 // ablation-soft layout (ACI, 16-QAM 1/2), 400-byte PSDUs, interferer
 // tiles from a waveform pool, and only the standard-soft and
-// cprecycle-soft arms, decoded serially.
+// cprecycle-soft arms.
 func softPlan(tb testing.TB) *PSRPlan {
 	tb.Helper()
 	sp, err := NewSweepPlan(SweepRequest{
@@ -312,9 +313,7 @@ func softPlan(tb testing.TB) *PSRPlan {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := sp.Points[0].Cfg
-	cfg.IntraWorkers = 1
-	plan, err := PlanPSR(cfg)
+	plan, err := PlanPSR(sp.Points[0].Cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -323,9 +322,21 @@ func softPlan(tb testing.TB) *PSRPlan {
 
 // BenchmarkRunPacketACI times whole packets — synthesis, the hard
 // standard and cprecycle arms, Viterbi — at the aci-fresh workload's
-// -6 dB point with 400-byte PSDUs and serial decode.
+// -6 dB point with 400-byte PSDUs.
 func BenchmarkRunPacketACI(b *testing.B) {
-	plan := aciPlan(b, -6, 400, 64, 1, []ReceiverKind{Standard, CPRecycle})
+	benchRunPacket(b, aciPlan(b, -6, 400, 64, []ReceiverKind{Standard, CPRecycle}))
+}
+
+// BenchmarkRunPacketAllArms times whole packets at the same aci −6 dB
+// point with every receiver arm, so the Naive, Oracle, no-tracking, KDE
+// and soft arms' per-packet costs show up beside the hard pair's.
+func BenchmarkRunPacketAllArms(b *testing.B) {
+	benchRunPacket(b, aciPlan(b, -6, 400, 64, []ReceiverKind{
+		Standard, Naive, Oracle, CPRecycle, CPRecycleNoTrack, CPRecycleKDE, StandardSoft, CPRecycleSoft}))
+}
+
+// benchRunPacket times RunPacket over the plan's packets in turn.
+func benchRunPacket(b *testing.B, plan *PSRPlan) {
 	ok := make([]bool, len(plan.Receivers()))
 	b.ReportAllocs()
 	pkt := 0
@@ -341,7 +352,7 @@ func BenchmarkRunPacketACI(b *testing.B) {
 // workload's −10 dB point: the ablation-soft layout (ACI, 16-QAM 1/2),
 // 400-byte PSDUs, interferer tiles from a waveform pool, and only the
 // standard-soft and cprecycle-soft arms, so the soft decisions and the
-// float Viterbi decode dominate. Serial decode.
+// float Viterbi decode dominate.
 func BenchmarkRunPacketSoft(b *testing.B) {
 	plan := softPlan(b)
 	ok := make([]bool, len(plan.Receivers()))

@@ -418,7 +418,7 @@ var rampCache sync.Map // rampKey -> []complex128
 
 // rampPairedCache mirrors rampCache for the planar form of the tables:
 // the same values as (re, im) float pairs, shared process-wide so
-// per-frame (and per-fork) demodulators never rebuild them.
+// per-frame demodulators never rebuild them.
 var rampPairedCache sync.Map // rampKey -> []float64
 
 // rampPairedFor returns the cached (re, im)-paired copy of rampFor(n, delta).

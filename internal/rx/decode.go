@@ -40,24 +40,6 @@ func (StandardDecider) DecideSymbol(f *Frame, symIdx int, cons *modem.Constellat
 	return out, nil
 }
 
-// ParallelDecider is implemented by SymbolDeciders whose per-symbol
-// decisions are independent given the frame, so the one DATA decode
-// behind DecodeDataParallel and DecodeDataSoftParallel can split symbols
-// across workers, one fork each. ForkDecider returns a decider equivalent to the
-// receiver but with its own scratch state, or ok == false when the
-// decider's current configuration makes decisions order-dependent (e.g.
-// CPRecycle's §4.3 continuous model update folds each decoded symbol's
-// residuals into the next symbol's scales) — the decode then runs
-// serially, keeping output identical either way.
-type ParallelDecider interface {
-	SymbolDecider
-	ForkDecider() (SymbolDecider, bool)
-}
-
-// ForkDecider implements ParallelDecider: the standard slicer is
-// stateless, so the decider forks to itself.
-func (d StandardDecider) ForkDecider() (SymbolDecider, bool) { return d, true }
-
 // Result reports the outcome of decoding one frame's DATA field.
 type Result struct {
 	// PSDU is the recovered service-data unit (before FCS removal).
@@ -74,131 +56,53 @@ type Result struct {
 // decision stage): per-symbol decisions via the decider, deinterleave,
 // depuncture, Viterbi, descramble with seed recovery, FCS check.
 func DecodeData(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolDecider) (Result, error) {
-	return decodeData(f, mcs, psduLen, decider, 1, false)
+	return decodeData(f, mcs, psduLen, decider, false)
 }
 
-// DecodeDataParallel is DecodeData with the per-symbol decisions split
-// across up to workers workers, the first on the calling goroutine (see
-// decodeData). The Result is
-// bit-identical to DecodeData's at any worker count.
-func DecodeDataParallel(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolDecider, workers int) (Result, error) {
-	return decodeData(f, mcs, psduLen, decider, workers, false)
-}
-
-// decodeData is the one DATA decode behind DecodeData, DecodeDataSoft and
-// their parallel forms. It decides every symbol, writes each symbol's
-// deinterleaved block into that symbol's slot of one pooled packet stream
-// — coded bits, or Viterbi bit weights when soft is set and the decider
-// is a SoftSymbolDecider — and hands the stream to the matching Viterbi
-// tail. Symbols are split across up to workers workers by stride, each on
-// its own Frame.ScratchFork view and ForkDecider clone; worker 0 is the
-// caller's goroutine with the original frame and decider. Since every
-// symbol lands in its own slot, the stream — and therefore the Result —
-// is bit-identical at any worker count. The decode runs serially when
-// workers <= 1, the decider is not a ParallelDecider, a fork is refused,
-// or (soft) a fork loses the soft interface.
-func decodeData(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolDecider, workers int, soft bool) (Result, error) {
+// decodeData is the one DATA decode behind DecodeData and DecodeDataSoft.
+// It decides every symbol in order, writes each symbol's deinterleaved
+// block into that symbol's slot of one pooled packet stream — coded bits,
+// or Viterbi bit weights when soft is set and the decider is a
+// SoftSymbolDecider — and hands the stream to the matching Viterbi tail.
+// It stops at the first failing symbol and reports its index.
+func decodeData(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolDecider, soft bool) (Result, error) {
 	il, err := wifi.DataInterleaver(mcs)
 	if err != nil {
 		return Result{}, err
 	}
-	if soft {
-		_, soft = decider.(SoftSymbolDecider)
-	}
-	j := dataJob{nSyms: mcs.SymbolsForPSDU(psduLen), ncbps: mcs.Ncbps, cons: modem.New(mcs.Scheme), il: il, soft: soft}
-	frames, deciders, err := forkWorkers(f, decider, min(workers, j.nSyms), soft)
-	if err != nil {
-		return Result{}, err
-	}
+	softDecider, ok := decider.(SoftSymbolDecider)
+	soft = soft && ok
+	nSyms, ncbps, cons := mcs.SymbolsForPSDU(psduLen), mcs.Ncbps, modem.New(mcs.Scheme)
 
 	obsStart := time.Now()
 	sc := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(sc)
 	if soft {
-		sc.llrs = resize(sc.llrs, j.nSyms*j.ncbps)
-		j.llrs = sc.llrs
+		sc.llrs = resize(sc.llrs, nSyms*ncbps)
 	} else {
-		sc.coded = resize(sc.coded, j.nSyms*j.ncbps)
-		j.coded = sc.coded
+		sc.coded = resize(sc.coded, nSyms*ncbps)
 	}
-	var k int
-	if frames == nil {
-		k, err = j.decide(f, decider, 0, 1, sc)
-	} else {
-		k, err = fanOut(j, frames, deciders, sc)
-	}
-	if err != nil {
-		return Result{}, fmt.Errorf("rx: symbol %d: %w", k, err)
+	for k := range nSyms {
+		lo, hi := k*ncbps, (k+1)*ncbps
+		if soft {
+			err = softSymbolLLRs(f, softDecider, k, cons, il, sc, sc.llrs[lo:hi])
+		} else {
+			err = hardSymbolBits(f, decider, k, cons, il, sc, sc.coded[lo:hi])
+		}
+		if err != nil {
+			return Result{}, fmt.Errorf("rx: symbol %d: %w", k, err)
+		}
 	}
 	stageObserve.ObserveSince(obsStart)
 	if soft {
-		return decodeLLRData(j.llrs, mcs, psduLen, j.nSyms)
+		return decodeLLRData(sc.llrs, mcs, psduLen, nSyms)
 	}
-	return decodeCodedData(j.coded, mcs, psduLen, j.nSyms)
+	return decodeCodedData(sc.coded, mcs, psduLen, nSyms)
 }
 
-// forkWorkers returns each worker's frame view and decider — worker 0's
-// being f and decider themselves — or nil when the decode must run
-// serially (see decodeData).
-func forkWorkers(f *Frame, decider SymbolDecider, workers int, soft bool) ([]*Frame, []SymbolDecider, error) {
-	pd, ok := decider.(ParallelDecider)
-	if workers <= 1 || !ok {
-		return nil, nil, nil
-	}
-	frames := make([]*Frame, workers)
-	deciders := make([]SymbolDecider, workers)
-	frames[0], deciders[0] = f, decider
-	for w := 1; w < workers; w++ {
-		fork, ok := pd.ForkDecider()
-		if !ok {
-			return nil, nil, nil
-		}
-		if _, ok := fork.(SoftSymbolDecider); soft && !ok {
-			return nil, nil, nil
-		}
-		fw, err := f.ScratchFork()
-		if err != nil {
-			return nil, nil, err
-		}
-		frames[w], deciders[w] = fw, fork
-	}
-	return frames, deciders, nil
-}
-
-// fanOut runs worker w on frames[w] and deciders[w], each but worker 0 on
-// its own goroutine and pooled scratch, and returns the lowest failing
-// symbol. It takes the job by value and lives apart from decodeData so
-// that the goroutine closures' captures do not move the serial path's
-// state to the heap.
-func fanOut(j dataJob, frames []*Frame, deciders []SymbolDecider, sc *decodeScratch) (int, error) {
-	n := len(frames)
-	ks := make([]int, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for w := 1; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := decodePool.Get().(*decodeScratch)
-			defer decodePool.Put(ws)
-			ks[w], errs[w] = j.decide(frames[w], deciders[w], w, n, ws)
-		}()
-	}
-	ks[0], errs[0] = j.decide(frames[0], deciders[0], 0, n, sc)
-	wg.Wait()
-	k, err := 0, error(nil)
-	for w := range errs {
-		if errs[w] != nil && (err == nil || ks[w] < k) {
-			k, err = ks[w], errs[w]
-		}
-	}
-	return k, err
-}
-
-// decodeScratch is a decode's working set: worker 0's holds the packet
-// stream, and every worker's holds its per-symbol buffers. Pooled, so
-// steady-state decoding reuses it; no slice outlives the decode that took
-// it.
+// decodeScratch is a decode's working set: the packet stream and the
+// per-symbol buffers that fill it. Pooled, so steady-state decoding reuses
+// it; no slice outlives the decode that took it.
 type decodeScratch struct {
 	coded  []byte    // hard packet stream, Ncbps per symbol
 	llrs   []float64 // soft packet stream, Ncbps per symbol
@@ -217,38 +121,6 @@ func resize[T any](buf []T, n int) []T {
 		return make([]T, n)
 	}
 	return buf[:n]
-}
-
-// dataJob is one DATA decode's shape and its packet stream: coded for a
-// hard decode, llrs for a soft one, nSyms slots of ncbps each.
-type dataJob struct {
-	nSyms, ncbps int
-	cons         *modem.Constellation
-	il           *coding.Interleaver
-	soft         bool
-	coded        []byte
-	llrs         []float64
-}
-
-// decide is the per-symbol decode loop. It decides symbols w, w+n, w+2n, …
-// on f with decider, writing each into its slot of the packet stream
-// through sc's per-symbol buffers, and stops at the first failure, which
-// it returns with the symbol's index.
-func (j *dataJob) decide(f *Frame, decider SymbolDecider, w, n int, sc *decodeScratch) (int, error) {
-	soft, _ := decider.(SoftSymbolDecider)
-	for k := w; k < j.nSyms; k += n {
-		lo, hi := k*j.ncbps, (k+1)*j.ncbps
-		var err error
-		if j.soft {
-			err = softSymbolLLRs(f, soft, k, j.cons, j.il, sc, j.llrs[lo:hi])
-		} else {
-			err = hardSymbolBits(f, decider, k, j.cons, j.il, sc, j.coded[lo:hi])
-		}
-		if err != nil {
-			return k, err
-		}
-	}
-	return 0, nil
 }
 
 // hardSymbolBits decides symbol k on f and writes the symbol's

@@ -26,8 +26,7 @@ import (
 // Bind re-targets a Frame at a new packet in place, reusing every buffer
 // (and the demodulator, while the grid is unchanged), so a receive path
 // that recycles its Frame allocates nothing per packet. A Frame is not
-// safe for concurrent use; parallel symbol decoders give each worker its
-// own view via ScratchFork.
+// safe for concurrent use.
 type Frame struct {
 	grid    ofdm.Grid
 	samples []complex128
@@ -37,8 +36,7 @@ type Frame struct {
 	scs     []int        // data subcarriers
 	pilots  []int
 
-	// Per-frame lookup tables (shared with ScratchFork views): the FFT
-	// bin and channel estimate of each data/pilot subcarrier, so the
+	// Per-frame lookup tables: the FFT bin and channel estimate of each data/pilot subcarrier, so the
 	// per-symbol loops skip the Bin() modulo and Ĥ gather. The bin
 	// tables depend on the grid only; the rest is rewritten by Bind.
 	selBins   []int // FFT bins of the 52 used subcarriers, for sparse slides
@@ -50,8 +48,6 @@ type Frame struct {
 	// to dividing by hData/hPilot; see dsp.Divisor).
 	hDataDiv  []dsp.Divisor
 	hPilotDiv []dsp.Divisor
-	// fork marks a ScratchFork view, whose tables alias its parent's.
-	fork bool
 
 	// Reused observation scratch (see type comment).
 	segP   []dsp.Planar  // batch planar demodulation windows
@@ -79,14 +75,10 @@ func NewFrame(g ofdm.Grid, samples []complex128, preambleStart int) (*Frame, err
 // the channel, and returns f. Every buffer the Frame owns is reused, and
 // so is its demodulator when the grid is unchanged; observations, slices
 // and decisions handed out before the call are overwritten by later use.
-// Binding a ScratchFork view detaches it from its parent first. On error
-// the Frame is unusable until the next successful Bind.
+// On error the Frame is unusable until the next successful Bind.
 func (f *Frame) Bind(g ofdm.Grid, samples []complex128, preambleStart int) (*Frame, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
-	}
-	if f.fork {
-		*f = Frame{}
 	}
 	if f.demod == nil || f.demod.Grid() != g {
 		d, err := ofdm.NewDemodulator(g)
@@ -131,31 +123,6 @@ func (f *Frame) Bind(g ofdm.Grid, samples []complex128, preambleStart int) (*Fra
 		return nil, err
 	}
 	return f, nil
-}
-
-// ScratchFork returns a view of the frame for one worker goroutine of a
-// parallel symbol decode: it shares every immutable input — the sample
-// stream, grid, channel estimate and bin tables — but owns its
-// demodulator, observation scratch and decision slots, so observations
-// and decisions on the fork never race with (or clobber the buffers of)
-// those on the parent or on sibling forks. The shared state is read-only
-// until the parent's next Bind, making concurrent observations on
-// different forks safe; a fork must not outlive that Bind.
-func (f *Frame) ScratchFork() (*Frame, error) {
-	d, err := ofdm.NewDemodulator(f.grid)
-	if err != nil {
-		return nil, err
-	}
-	g := *f
-	g.demod = d
-	g.fork = true
-	g.segP = nil
-	g.obs = nil
-	g.preSeg = nil
-	g.pconj = make([]complex128, len(f.pilots))
-	g.pref = make([]complex128, len(f.pilots))
-	g.dec, g.conf = nil, nil
-	return &g, nil
 }
 
 // decisionSlots returns the Frame's decision and confidence slots sized

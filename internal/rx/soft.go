@@ -108,15 +108,7 @@ func decodeLLRData(llrs []float64, mcs wifi.MCS, psduLen, nSyms int) (Result, er
 // confidences as bit weights for the Viterbi decoder. Deciders that do not
 // implement SoftSymbolDecider fall back to hard (unit-weight) decoding.
 func DecodeDataSoft(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolDecider) (Result, error) {
-	return decodeData(f, mcs, psduLen, decider, 1, true)
-}
-
-// DecodeDataSoftParallel is DecodeDataSoft with the per-symbol soft
-// decisions split across up to workers workers, as DecodeDataParallel
-// does for the hard path. The Result is bit-identical to DecodeDataSoft's
-// at any worker count.
-func DecodeDataSoftParallel(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolDecider, workers int) (Result, error) {
-	return decodeData(f, mcs, psduLen, decider, workers, true)
+	return decodeData(f, mcs, psduLen, decider, true)
 }
 
 // normalize maps raw confidences to weights with median 1, clipped to

@@ -17,13 +17,11 @@
 // and hand out Frame-owned scratch buffers — the per-symbol hot path
 // performs no allocation. StandardDecider's decisions and confidences
 // likewise live in the Frame's decision slots, valid until the next
-// decision on that Frame; each ScratchFork view has its own. Frame.Bind
-// re-targets a Frame at the next packet in place, so a caller that
-// recycles its Frame allocates nothing per packet. DecodeDataParallel
-// fans the per-symbol decisions of one packet across workers
-// (per-worker Frame.ScratchFork scratch, ParallelDecider forks,
-// symbol-ordered merge) with output bit-identical to the serial
-// DecodeData.
+// decision on that Frame. Frame.Bind re-targets a Frame at the next
+// packet in place, so a caller that recycles its Frame allocates nothing
+// per packet. DecodeData and DecodeDataSoft decide a packet's symbols in
+// order on one goroutine, as CPRecycle's continuous model update (§4.3)
+// requires: each decoded symbol refines the model for the next.
 package rx
 
 import (

@@ -198,16 +198,7 @@ func (e *Engine) submit(ctx context.Context, spec Spec, subset []int) (*Job, err
 	}
 	j.points = make([]*pointState, len(plan.Points))
 	for _, i := range active {
-		cfg := plan.Points[i].Cfg
-		if cfg.IntraWorkers <= 0 {
-			// The engine's shard pool already occupies every core
-			// (packet-range shards of all jobs run concurrently), so the
-			// auto intra-packet rule — which assumes the point runs alone
-			// — would oversubscribe. Decode serially unless the spec asks
-			// for intra-packet workers explicitly.
-			cfg.IntraWorkers = 1
-		}
-		pp, err := experiments.PlanPSR(cfg)
+		pp, err := experiments.PlanPSR(plan.Points[i].Cfg)
 		if err != nil {
 			cancel()
 			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
