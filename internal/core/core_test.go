@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"slices"
 	"testing"
@@ -363,6 +365,32 @@ func TestOracleSpectrumReduction(t *testing.T) {
 	t.Logf("oracle in-band interference reduction: %.1f dB", reduction)
 	if reduction < 6 {
 		t.Fatalf("oracle reduction only %.1f dB", reduction)
+	}
+}
+
+// TestOracleSpectrumPinned pins Fig. 4a's curves bit for bit: an FNV-64a
+// hash over the little-endian float64 bits of oracle[i] then std[i] for
+// every bin. The value is the same with SIMD kernels and under -tags
+// purego, so any change to the segment demodulation arithmetic shows here.
+func TestOracleSpectrumPinned(t *testing.T) {
+	s := aciScenario(-20, 10000, 57)
+	f, c, _ := runScenario(t, s, 600, "QPSK 1/2", 200)
+	segs := segments16(t, f.Grid())
+	oracle, std, err := OracleSpectrum(c.InterferenceOnly, c.Grid, f.DataSymbolStart(0), 20, segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	for i := range oracle {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(oracle[i]))
+		h.Write(b[:])
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(std[i]))
+		h.Write(b[:])
+	}
+	const want = 0x9e72319aaf0468f5
+	if got := h.Sum64(); got != want {
+		t.Fatalf("OracleSpectrum hash %016x, want %016x", got, uint64(want))
 	}
 }
 
