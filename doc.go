@@ -18,14 +18,16 @@
 // paper's P FFT windows per OFDM symbol — the scheme's main compute
 // overhead — are produced by one seed FFT plus O(N·stride) sliding-DFT
 // updates running entirely on split re/im planes (dsp.Planar,
-// ofdm.Demodulator.SegmentsOnPlanar), updated sparsely at the 52 used
-// subcarrier bins through precomputed per-slide twiddle schedules
-// (dsp.SlideTab), with cached Eq. 2 phase-ramp tables, process-wide FFT
-// plans (dsp.PlanFor), precomputed per-subcarrier equalisation dividers
-// (dsp.Divisor) and per-frame/per-receiver scratch buffers throughout
+// ofdm.Demodulator.Segments), updated sparsely at the 52 used
+// subcarrier bins through one kernel, dsp.SlidingDFT.SlideRotatedTab,
+// and its precomputed per-slide twiddle schedules (dsp.SlideTab), with
+// cached Eq. 2 phase-ramp tables, process-wide FFT plans (dsp.PlanFor),
+// precomputed per-subcarrier equalisation dividers (dsp.Divisor) and
+// per-frame/per-receiver scratch buffers throughout
 // (rx.Frame.ObserveSegments, core.Receiver). Values convert to
-// complex128 only at the equalizer/constellation boundary, and every
-// planar kernel is pinned value-identical to its interleaved twin.
+// complex128 only at the equalizer/constellation boundary; the planar FFT
+// is pinned value-identical to the interleaved one, and the slid windows
+// to a direct per-window FFT.
 // Transmit synthesis is planar and allocation-free too: ofdm.Modulator
 // runs the unnormalised planar inverse FFT with one gain multiply per
 // sample, wifi.BuildPPDUInto encodes into a caller's buffer from pooled

@@ -66,18 +66,6 @@ func HammingDistance(a, b []byte) int {
 	return d
 }
 
-// XorBits returns a XOR b elementwise; slices must be equally long.
-func XorBits(a, b []byte) []byte {
-	if len(a) != len(b) {
-		panic("coding: XorBits length mismatch")
-	}
-	out := make([]byte, len(a))
-	for i := range a {
-		out[i] = (a[i] ^ b[i]) & 1
-	}
-	return out
-}
-
 // HardToLLR converts hard bits to ±1 log-likelihood ratios (positive means
 // bit 0), the representation the Viterbi decoder consumes. Erasures are not
 // representable here; use Depuncture for punctured streams.

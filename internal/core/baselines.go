@@ -97,7 +97,7 @@ func (o *OracleDecider) DecideSymbol(f *rx.Frame, symIdx int, cons *modem.Conste
 	// segment of a subcarrier identically, so raw bin power preserves the
 	// per-subcarrier ordering the oracle needs. The windows come from the
 	// planar batch sliding-DFT path, reusing the decider's buffers.
-	ip, err := o.demod.SegmentsOnPlanar(o.InterferenceOnly, symStart, o.Segments, o.sel, o.ip)
+	ip, err := o.demod.Segments(o.InterferenceOnly, symStart, o.Segments, o.sel, o.ip)
 	if err != nil {
 		return nil, fmt.Errorf("core: oracle interference window: %w", err)
 	}
@@ -133,7 +133,11 @@ func SegmentInterferencePower(interference []complex128, g ofdm.Grid, symStart i
 	if err != nil {
 		return nil, err
 	}
-	segBins, err := d.SegmentsPlanar(interference, symStart, segments, nil)
+	all := make([]int, g.NFFT) // every bin: Fig. 4 plots the whole band
+	for k := range all {
+		all[k] = k
+	}
+	segBins, err := d.Segments(interference, symStart, segments, all, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -302,10 +302,6 @@ func (r *Receiver) ModelFor(i int) *kde.Bivariate {
 	return r.pooled[i]
 }
 
-// SegmentScale returns the model's expected interference amplitude at
-// segment index j (into Config.Segments) and data subcarrier i.
-func (r *Receiver) SegmentScale(j, i int) float64 { return r.scale[j][i] }
-
 // DecideSymbol implements rx.SymbolDecider.
 func (r *Receiver) DecideSymbol(f *rx.Frame, symIdx int, cons *modem.Constellation) ([]int, error) {
 	return r.decide(f, symIdx, cons, nil)

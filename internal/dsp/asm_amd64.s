@@ -5,8 +5,8 @@
 // AVX2 kernels for the planar DSP hot paths. Contract (see dispatch.go):
 // every kernel performs exactly the scalar fallback's floating-point
 // operations per element, in the same order — VMULPD/VADDPD/VSUBPD only,
-// never FMA — so results are bit-identical to the Go twins for finite
-// inputs. Lanes are independent bins/samples, so processing four at a
+// never FMA — so results are bit-identical to the Go loops for finite
+// inputs. Lanes are independent bins, so processing four at a
 // time does not reorder any dependent operation. All loads and stores
 // are unaligned (VMOVUPD/VMOVSD); callers need no alignment or padding.
 // R14/R15 and X15 are avoided (g register and zero register in the Go
@@ -336,39 +336,5 @@ gsInner:
 	JMP  gsOuter
 
 gsDone:
-	VZEROUPPER
-	RET
-
-// func freqShiftApplyASM(re, im, rotR, rotI *float64, n int)
-//
-// Elementwise complex multiply by the precomputed rotator:
-// re' = re*rotR - im*rotI, im' = re*rotI + im*rotR.
-TEXT ·freqShiftApplyASM(SB), NOSPLIT, $0-40
-	MOVQ re+0(FP), DI
-	MOVQ im+8(FP), SI
-	MOVQ rotR+16(FP), DX
-	MOVQ rotI+24(FP), CX
-	MOVQ n+32(FP), BX
-	XORQ AX, AX
-
-fsLoop:
-	CMPQ AX, BX
-	JGE  fsDone
-	VMOVUPD (DI)(AX*8), Y0 // xr
-	VMOVUPD (SI)(AX*8), Y1 // xi
-	VMOVUPD (DX)(AX*8), Y2 // rotR
-	VMOVUPD (CX)(AX*8), Y3 // rotI
-	VMULPD Y2, Y0, Y4
-	VMULPD Y3, Y1, Y5
-	VSUBPD Y5, Y4, Y4 // xr*rotR - xi*rotI
-	VMULPD Y3, Y0, Y5
-	VMULPD Y2, Y1, Y6
-	VADDPD Y6, Y5, Y5 // xr*rotI + xi*rotR
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD Y5, (SI)(AX*8)
-	ADDQ $4, AX
-	JMP  fsLoop
-
-fsDone:
 	VZEROUPPER
 	RET

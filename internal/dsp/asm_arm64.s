@@ -6,8 +6,8 @@
 // vector width of two float64 lanes. Contract (see dispatch.go): every
 // kernel performs exactly the scalar fallback's floating-point
 // operations per element, in the same order — vector fmul/fadd/fsub
-// only, never FMA (fmla) — so results are bit-identical to the Go twins
-// for finite inputs. Lanes are independent bins/samples, so processing
+// only, never FMA (fmla) — so results are bit-identical to the Go loops
+// for finite inputs. Lanes are independent bins, so processing
 // two at a time does not reorder any dependent operation. No alignment
 // is required.
 //
@@ -42,13 +42,6 @@
 #define FADD2D_V0_V0_V2 WORD $0x4E62D400   // fadd v0.2d, v0.2d, v2.2d
 #define FSUB2D_V17_V16_V3 WORD $0x4EE3D611 // fsub v17.2d, v16.2d, v3.2d
 #define FADD2D_V16_V16_V3 WORD $0x4E63D610 // fadd v16.2d, v16.2d, v3.2d
-
-#define FMUL2D_V4_V0_V2 WORD $0x6E62DC04 // fmul v4.2d, v0.2d, v2.2d
-#define FMUL2D_V5_V1_V3 WORD $0x6E63DC25 // fmul v5.2d, v1.2d, v3.2d
-#define FSUB2D_V4_V4_V5 WORD $0x4EE5D484 // fsub v4.2d, v4.2d, v5.2d
-#define FMUL2D_V5_V0_V3 WORD $0x6E63DC05 // fmul v5.2d, v0.2d, v3.2d
-#define FMUL2D_V6_V1_V2 WORD $0x6E62DC26 // fmul v6.2d, v1.2d, v2.2d
-#define FADD2D_V5_V5_V6 WORD $0x4E66D4A5 // fadd v5.2d, v5.2d, v6.2d
 
 // func slideTabASM(dre, dim, sre, sim, dfr, dfi, twV *float64, runs *int, m, nruns int)
 //
@@ -238,33 +231,4 @@ gsInner:
 	ADD  R13, R1, R1
 	SUBS R4, R7, R7
 	BGT  gsOuter
-	RET
-
-// func freqShiftApplyASM(re, im, rotR, rotI *float64, n int)
-//
-// Elementwise complex multiply by the precomputed rotator:
-// re' = re*rotR - im*rotI, im' = re*rotI + im*rotR. n must be a
-// multiple of 2.
-TEXT ·freqShiftApplyASM(SB), NOSPLIT, $0-40
-	MOVD re+0(FP), R0
-	MOVD im+8(FP), R1
-	MOVD rotR+16(FP), R2
-	MOVD rotI+24(FP), R3
-	MOVD n+32(FP), R4
-
-fsLoop:
-	VLD1   (R0), [V0.D2]   // xr
-	VLD1   (R1), [V1.D2]   // xi
-	VLD1.P 16(R2), [V2.D2] // rotR
-	VLD1.P 16(R3), [V3.D2] // rotI
-	FMUL2D_V4_V0_V2
-	FMUL2D_V5_V1_V3
-	FSUB2D_V4_V4_V5 // xr*rotR - xi*rotI
-	FMUL2D_V5_V0_V3
-	FMUL2D_V6_V1_V2
-	FADD2D_V5_V5_V6 // xr*rotI + xi*rotR
-	VST1.P [V4.D2], 16(R0)
-	VST1.P [V5.D2], 16(R1)
-	SUBS $2, R4
-	BGT  fsLoop
 	RET

@@ -2,14 +2,15 @@ package dsp
 
 import "sync/atomic"
 
-// The planar hot kernels (SlideRotatedTab, the ForwardPlanar/InversePlanar
-// butterfly stages, FreqShiftPlanar) have hand-written SIMD fast paths:
-// AVX2 on amd64 (gated on runtime CPUID detection) and NEON on arm64
-// (baseline, always available). The Go loops remain the universal scalar
-// fallback and the reference semantics; the SIMD kernels perform the same
-// floating-point operations in the same per-element order, use no FMA and
-// no reassociation, so for finite inputs every result is bit-identical to
-// the scalar twin (the equivalence and fuzz tests pin this). Builds with
+// The planar hot kernels (SlideRotatedTab and the
+// ForwardPlanar/InversePlanar butterfly stages) have hand-written SIMD
+// fast paths: AVX2 on amd64 (gated on runtime CPUID detection) and NEON
+// on arm64 (baseline, always available). The Go loops remain the
+// universal scalar fallback and the reference semantics; the SIMD
+// kernels perform the same floating-point operations in the same
+// per-element order, use no FMA and no reassociation, so for finite
+// inputs every result is bit-identical to the scalar loop (the
+// equivalence and fuzz tests pin this). Builds with
 // the purego tag (or any other GOARCH) compile only the scalar code.
 //
 // Two kernels outside this package share the detection and the switch,

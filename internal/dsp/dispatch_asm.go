@@ -2,8 +2,6 @@
 
 package dsp
 
-import "math"
-
 func init() { initASM() }
 
 // The assembly kernels (asm_amd64.s / asm_arm64.s). All of them preserve
@@ -41,12 +39,6 @@ func fftStage2ASM(re, im, s2 *float64, n int)
 //
 //go:noescape
 func fftStageASM(re, im, tws *float64, n, size int)
-
-// freqShiftApplyASM multiplies (re, im) by the precomputed rotator
-// (rotR, rotI) elementwise. n must be a multiple of asmLanes.
-//
-//go:noescape
-func freqShiftApplyASM(re, im, rotR, rotI *float64, n int)
 
 // buildVecTwiddles lays the plan's twiddles out for the vector FFT
 // stages: for the size-4 stage, its two twiddles splatted across asmLanes
@@ -166,41 +158,4 @@ func (t *SlideTab) buildVec() {
 		return
 	}
 	t.twV, t.runs, t.scalarPos = twV, runs, scalar
-}
-
-// freqShiftPlanarSIMD is the vector fast path of FreqShiftPlanar. The
-// phasor recurrence itself is inherently serial and stays scalar: each
-// resync block's rotators are stepped into a small stack buffer with
-// exactly the scalar path's arithmetic (same resync cadence, same
-// recurrence expressions), and only the independent per-sample complex
-// multiplies are vectorised. Reports false when the SIMD path is
-// unavailable.
-func freqShiftPlanarSIMD(x Planar, w, stepR, stepI float64, startSample int) bool {
-	if !simdEnabled() || x.Len() < asmLanes {
-		return false
-	}
-	var rotR, rotI [freqShiftResync]float64
-	re, im := x.Re, x.Im
-	for t0 := 0; t0 < len(re); t0 += freqShiftResync {
-		bl := len(re) - t0
-		if bl > freqShiftResync {
-			bl = freqShiftResync
-		}
-		s, c := math.Sincos(w * float64(startSample+t0))
-		rR, rI := c, s
-		for i := 0; i < bl; i++ {
-			rotR[i], rotI[i] = rR, rI
-			rR, rI = rR*stepR-rI*stepI, rR*stepI+rI*stepR
-		}
-		vec := bl &^ (asmLanes - 1)
-		if vec > 0 {
-			freqShiftApplyASM(&re[t0], &im[t0], &rotR[0], &rotI[0], vec)
-		}
-		for i := vec; i < bl; i++ {
-			xr, xi := re[t0+i], im[t0+i]
-			re[t0+i] = xr*rotR[i] - xi*rotI[i]
-			im[t0+i] = xr*rotI[i] + xi*rotR[i]
-		}
-	}
-	return true
 }

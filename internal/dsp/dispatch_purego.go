@@ -26,6 +26,3 @@ func (t *SlideTab) buildVec() {}
 func slideTabASM(dre, dim, sre, sim, dfr, dfi, twV *float64, runs *int, m, nruns int) {
 	panic("dsp: slideTabASM called without SIMD support")
 }
-
-// freqShiftPlanarSIMD always declines, keeping the scalar phasor loop.
-func freqShiftPlanarSIMD(x Planar, w, stepR, stepI float64, startSample int) bool { return false }

@@ -8,29 +8,27 @@
 //
 // # SIMD dispatch
 //
-// The three hottest planar kernels — SlidingDFT.SlideRotatedTab, the
-// FFTPlan.ForwardPlanar/InversePlanar butterfly stages, and
-// FreqShiftPlanar — have hand-written assembly fast paths: AVX2 on amd64
-// (selected at package init by CPUID feature detection: OSXSAVE + AVX +
-// YMM-enabled XCR0 + AVX2) and NEON on arm64 (baseline, always on). The
-// Go loops remain the complete, universal fallback: builds tagged purego
-// (and every other GOARCH) compile only the scalar code, and the
-// ForceScalar test hook flips a live process onto the fallback at any
-// time.
+// The two hottest planar kernels — SlidingDFT.SlideRotatedTab and the
+// FFTPlan.ForwardPlanar/InversePlanar butterfly stages — have
+// hand-written assembly fast paths: AVX2 on amd64 (selected at package
+// init by CPUID feature detection: OSXSAVE + AVX + YMM-enabled XCR0 +
+// AVX2) and NEON on arm64 (baseline, always on). The Go loops remain the
+// complete, universal fallback: builds tagged purego (and every other
+// GOARCH) compile only the scalar code, and the ForceScalar test hook
+// flips a live process onto the fallback at any time.
 //
 // The dispatch contract is bit-exactness: the SIMD kernels perform the
 // same floating-point operations in the same per-element order as the
-// scalar twins — plain vector multiply/add/subtract only, never FMA,
+// scalar loops — plain vector multiply/add/subtract only, never FMA,
 // never reassociation — so for finite inputs every result is
 // bit-identical to the fallback (NaN payload propagation is the one
 // place x86 vector semantics depend on operand order, which the
-// contract does not constrain). Lanes always hold independent bins or
-// samples; anything inherently serial (the FreqShiftPlanar phasor
-// recurrence, bit-reversal) stays scalar inside the dispatched path.
-// The equivalence tests and the FuzzForwardPlanar /
-// FuzzSlideRotatedTab / FuzzFreqShiftPlanar targets pin dispatched
-// against forced-scalar results bitwise, and the same-seed regression
-// pins hold with SIMD enabled.
+// contract does not constrain). Lanes always hold independent bins;
+// anything inherently serial (bit-reversal) stays scalar inside the
+// dispatched path. The equivalence tests and the FuzzForwardPlanar /
+// FuzzSlideRotatedTab targets pin dispatched against forced-scalar
+// results bitwise, and the same-seed regression pins hold with SIMD
+// enabled.
 //
 // To feed the vector loads as linear streams, the twiddle schedules are
 // re-laid-out at build time (dsp.SlideTab splits its bin selection into
@@ -40,22 +38,20 @@
 //
 // # Planar layout
 //
-// The receiver hot kernels additionally exist in planar (split re/im,
-// structure-of-arrays) form operating on the Planar buffer type: the FFT
-// butterflies (FFTPlan.ForwardPlanar/InversePlanar), the sliding-DFT
-// updates (SlidePlanar, SlideRotatedPlanar, SlideRotatedBinsPlanar and the
-// precomputed-schedule SlideRotatedTab), and FreqShiftPlanar. Two flat
-// float64 planes keep the inner loops free of the scalar-pair shuffling
-// interleaved complex values force on the compiler. Every planar kernel
-// performs the same floating-point operations in the same order as its
-// interleaved twin, so results are value-identical (only the sign of a
-// zero may differ, which compares equal); the exactness tests pin each
-// pair against each other. Convert at algorithm boundaries only —
-// Deinterleave on entry, Interleave on exit — and never inside a
-// per-symbol loop; internal/ofdm's batch segment demodulation stays
-// planar from the seed FFT through the last slide and hands planar
-// windows to internal/rx, which interleaves single values at the
-// equalizer boundary.
+// The receiver hot kernels run in planar (split re/im,
+// structure-of-arrays) form on the Planar buffer type: the FFT
+// butterflies (FFTPlan.ForwardPlanar/InversePlanar) and the sliding-DFT
+// update (SlidingDFT.SlideRotatedTab with its precomputed SlideTab
+// schedule). Two flat float64 planes keep the inner loops free of the
+// scalar-pair shuffling interleaved complex values force on the
+// compiler. The planar FFT performs the same floating-point operations
+// in the same order as the interleaved Forward/Inverse, so results are
+// value-identical (only the sign of a zero may differ, which compares
+// equal). Convert at algorithm boundaries only — Deinterleave on entry,
+// Interleave on exit — and never inside a per-symbol loop;
+// internal/ofdm's batch segment demodulation stays planar from the seed
+// FFT through the last slide and hands planar windows to internal/rx,
+// which interleaves single values at the equalizer boundary.
 package dsp
 
 import (
@@ -198,17 +194,6 @@ func MustPlanFor(n int) *FFTPlan {
 		panic(err)
 	}
 	return p
-}
-
-// twiddleTable returns the full-resolution forward twiddle table
-// w[r] = e^{-i 2π r / n} for r in [0, n).
-func twiddleTable(n int) []complex128 {
-	w := make([]complex128, n)
-	for r := 0; r < n; r++ {
-		s, c := math.Sincos(2 * math.Pi * float64(r) / float64(n))
-		w[r] = complex(c, -s)
-	}
-	return w
 }
 
 // Size returns the transform length the plan was built for.

@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Planar holds a complex vector in planar (structure-of-arrays) layout:
 // the real parts in Re and the imaginary parts in Im, index-aligned. The
@@ -160,207 +157,5 @@ func (p *FFTPlan) transformPlanar(re, im []float64, fwd bool) {
 				im[lo] = im[lo] + ti
 			}
 		}
-	}
-}
-
-// FreqShiftPlanar is FreqShift on planar data: the same phasor recurrence
-// with the same resynchronisation cadence, value-identical to the
-// interleaved kernel. On machines with SIMD support the per-sample
-// rotation runs in assembly (the recurrence itself stays scalar, so the
-// rotator values — and therefore the output — are bit-identical).
-func FreqShiftPlanar(x Planar, shiftBins float64, n int, startSample int) {
-	w := 2 * math.Pi * shiftBins / float64(n)
-	ss, cs := math.Sincos(w)
-	stepR, stepI := cs, ss
-	if freqShiftPlanarSIMD(x, w, stepR, stepI, startSample) {
-		return
-	}
-	var rotR, rotI float64
-	re, im := x.Re, x.Im
-	for t := range re {
-		if t%freqShiftResync == 0 {
-			s, c := math.Sincos(w * float64(startSample+t))
-			rotR, rotI = c, s
-		}
-		xr, xi := re[t], im[t]
-		re[t] = xr*rotR - xi*rotI
-		im[t] = xr*rotI + xi*rotR
-		rotR, rotI = rotR*stepR-rotI*stepI, rotR*stepI+rotI*stepR
-	}
-}
-
-// SlidePlanar is Slide on planar data: identical per-bin update arithmetic
-// on split planes.
-func (s *SlidingDFT) SlidePlanar(bins, outgoing, incoming Planar) {
-	n := s.n
-	if bins.Len() != n {
-		panic(fmt.Sprintf("dsp: SlidePlanar bins length %d, kernel size %d", bins.Len(), n))
-	}
-	m := outgoing.Len()
-	if incoming.Len() != m {
-		panic(fmt.Sprintf("dsp: SlidePlanar got %d outgoing but %d incoming samples", m, incoming.Len()))
-	}
-	if m == 0 {
-		return
-	}
-	if m > n {
-		panic(fmt.Sprintf("dsp: SlidePlanar step %d exceeds window size %d", m, n))
-	}
-	wp := s.wP
-	rotStep := n - m
-	if rotStep == n {
-		rotStep = 0
-	}
-	rot := 0
-	for k := 0; k < n; k++ {
-		accR, accI := bins.Re[k], bins.Im[k]
-		idx := 0
-		for j := 0; j < m; j++ {
-			dr := incoming.Re[j] - outgoing.Re[j]
-			di := incoming.Im[j] - outgoing.Im[j]
-			tr, ti := wp[2*idx], wp[2*idx+1]
-			accR += dr*tr - di*ti
-			accI += dr*ti + di*tr
-			idx += k
-			if idx >= n {
-				idx -= n
-			}
-		}
-		tr, ti := wp[2*rot], wp[2*rot+1]
-		bins.Re[k] = accR*tr - accI*ti
-		bins.Im[k] = accR*ti + accI*tr
-		rot += rotStep
-		if rot >= n {
-			rot -= n
-		}
-	}
-}
-
-// SlideRotatedPlanar is SlideRotated on planar data: the same rotated-
-// domain multiply-add per (bin, diff), so the result is value-identical
-// to the interleaved kernel.
-func (s *SlidingDFT) SlideRotatedPlanar(bins, diffs Planar, delta int) {
-	n := s.n
-	if bins.Len() != n {
-		panic(fmt.Sprintf("dsp: SlideRotatedPlanar bins length %d, kernel size %d", bins.Len(), n))
-	}
-	m := diffs.Len()
-	if m == 0 {
-		return
-	}
-	if m > n {
-		panic(fmt.Sprintf("dsp: SlideRotatedPlanar step %d exceeds window size %d", m, n))
-	}
-	wp := s.wP
-	base := (n - delta%n) % n
-	if base < 0 {
-		base += n
-	}
-	bre, bim := bins.Re, bins.Im
-	start := 0
-	if m == 4 {
-		// The dominant receiver shape: the four diffs are loop-invariant
-		// across bins, so the specialisation holds them in registers and
-		// unrolls the twiddle walk (additions in the same j order as the
-		// generic loop — value-identical).
-		d0r, d0i := diffs.Re[0], diffs.Im[0]
-		d1r, d1i := diffs.Re[1], diffs.Im[1]
-		d2r, d2i := diffs.Re[2], diffs.Im[2]
-		d3r, d3i := diffs.Re[3], diffs.Im[3]
-		for k := 0; k < n; k++ {
-			accR, accI := bre[k], bim[k]
-			idx := start
-			tr, ti := wp[2*idx], wp[2*idx+1]
-			accR += d0r*tr - d0i*ti
-			accI += d0r*ti + d0i*tr
-			idx += k
-			if idx >= n {
-				idx -= n
-			}
-			tr, ti = wp[2*idx], wp[2*idx+1]
-			accR += d1r*tr - d1i*ti
-			accI += d1r*ti + d1i*tr
-			idx += k
-			if idx >= n {
-				idx -= n
-			}
-			tr, ti = wp[2*idx], wp[2*idx+1]
-			accR += d2r*tr - d2i*ti
-			accI += d2r*ti + d2i*tr
-			idx += k
-			if idx >= n {
-				idx -= n
-			}
-			tr, ti = wp[2*idx], wp[2*idx+1]
-			accR += d3r*tr - d3i*ti
-			accI += d3r*ti + d3i*tr
-			bre[k] = accR
-			bim[k] = accI
-			start += base
-			if start >= n {
-				start -= n
-			}
-		}
-		return
-	}
-	dre, dim := diffs.Re, diffs.Im
-	for k := 0; k < n; k++ {
-		accR, accI := bre[k], bim[k]
-		idx := start
-		for j := 0; j < m; j++ {
-			tr, ti := wp[2*idx], wp[2*idx+1]
-			dr, di := dre[j], dim[j]
-			accR += dr*tr - di*ti
-			accI += dr*ti + di*tr
-			idx += k
-			if idx >= n {
-				idx -= n
-			}
-		}
-		bre[k] = accR
-		bim[k] = accI
-		start += base
-		if start >= n {
-			start -= n
-		}
-	}
-}
-
-// SlideRotatedBinsPlanar is SlideRotatedBins on planar data: only the
-// listed bins are updated, in arithmetic identical to the full planar (and
-// interleaved) update; unlisted bins are left untouched.
-func (s *SlidingDFT) SlideRotatedBinsPlanar(bins, diffs Planar, delta int, sel []int) {
-	n := s.n
-	if bins.Len() != n {
-		panic(fmt.Sprintf("dsp: SlideRotatedBinsPlanar bins length %d, kernel size %d", bins.Len(), n))
-	}
-	m := diffs.Len()
-	if m == 0 {
-		return
-	}
-	if m > n {
-		panic(fmt.Sprintf("dsp: SlideRotatedBinsPlanar step %d exceeds window size %d", m, n))
-	}
-	wp := s.wP
-	base := (n - delta%n) % n
-	if base < 0 {
-		base += n
-	}
-	dre, dim := diffs.Re, diffs.Im
-	for _, k := range sel {
-		accR, accI := bins.Re[k], bins.Im[k]
-		idx := (base * k) % n
-		for j := 0; j < m; j++ {
-			tr, ti := wp[2*idx], wp[2*idx+1]
-			dr, di := dre[j], dim[j]
-			accR += dr*tr - di*ti
-			accI += dr*ti + di*tr
-			idx += k
-			if idx >= n {
-				idx -= n
-			}
-		}
-		bins.Re[k] = accR
-		bins.Im[k] = accI
 	}
 }

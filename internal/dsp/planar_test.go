@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // planarOf returns a planar copy of x.
 func planarOf(x []complex128) Planar {
@@ -13,8 +10,8 @@ func planarOf(x []complex128) Planar {
 }
 
 // requirePlanarEqual fails unless p holds exactly the values of want.
-// Planar kernels mirror their interleaved twins operation for operation,
-// so equality here is exact value equality (MaxAbsDiff == 0, which treats
+// The planar FFT mirrors the interleaved transform operation for
+// operation, so equality here is exact value equality (MaxAbsDiff == 0, which treats
 // -0 and +0 as equal — the only representation drift the planar forms can
 // introduce, from real-scalar multiplies not simulating the interleaved
 // form's multiply-by-complex(g,0) zero terms).
@@ -109,62 +106,10 @@ func TestForwardInversePlanarMatchesInterleaved(t *testing.T) {
 	}
 }
 
-func TestSlidePlanarMatchesInterleaved(t *testing.T) {
-	const n = 64
-	r := NewRand(13)
-	x := randSignal(r, 6*n)
-	s := MustSlidingDFT(n)
-	bins := FFT(x[:n])
-	pbins := planarOf(bins)
-	start := 0
-	for _, m := range []int{1, 4, 3, 2, 4, 1} {
-		s.Slide(bins, x[start:start+m], x[start+n:start+n+m])
-		s.SlidePlanar(pbins, planarOf(x[start:start+m]), planarOf(x[start+n:start+n+m]))
-		start += m
-		requirePlanarEqual(t, "slide", pbins, bins)
-	}
-}
-
-func TestSlideRotatedPlanarMatchesInterleaved(t *testing.T) {
-	const n = 64
-	r := NewRand(19)
-	x := randSignal(r, 6*n)
-	s := MustSlidingDFT(n)
-	bins := FFT(x[:n])
-	CorrectTestRamp(bins, 16, n)
-	pbins := planarOf(bins)
-	sel := []int{0, 3, 17, 40, 63}
-	sparse := append([]complex128(nil), bins...)
-	psparse := planarOf(bins)
-
-	delta := 16
-	start := 0
-	for _, m := range []int{1, 4, 2, 3, 4} {
-		diffs := make([]complex128, m)
-		for j := range diffs {
-			diffs[j] = x[start+n+j] - x[start+j]
-		}
-		pd := planarOf(diffs)
-		s.SlideRotated(bins, diffs, delta)
-		s.SlideRotatedPlanar(pbins, pd, delta)
-		requirePlanarEqual(t, "rotated", pbins, bins)
-
-		s.SlideRotatedBins(sparse, diffs, delta, sel)
-		s.SlideRotatedBinsPlanar(psparse, pd, delta, sel)
-		for _, k := range sel {
-			if psparse.At(k) != sparse[k] {
-				t.Fatalf("sparse planar bin %d: %v, want %v", k, psparse.At(k), sparse[k])
-			}
-		}
-
-		delta -= m
-		start += m
-	}
-}
-
 // TestSlideRotatedTabMatchesBins pins the precomputed-schedule kernel to
-// SlideRotatedBins: identical values at the selected bins, untouched
-// elsewhere, both aliased (dst == src) and copying (dst != src).
+// the direct reference slideRotatedBinsRef: identical values at the
+// selected bins, untouched elsewhere, both aliased (dst == src) and
+// copying (dst != src).
 func TestSlideRotatedTabMatchesBins(t *testing.T) {
 	const n = 64
 	r := NewRand(23)
@@ -189,7 +134,7 @@ func TestSlideRotatedTabMatchesBins(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.SlideRotatedTab(dst, src, planarOf(diffs), tab)
-			s.SlideRotatedBins(want, diffs, delta, sel)
+			slideRotatedBinsRef(s, want, diffs, delta, sel)
 			for _, k := range sel {
 				if dst.At(k) != want[k] {
 					t.Fatalf("m=%d delta=%d bin %d: tab %v, want %v", m, delta, k, dst.At(k), want[k])
@@ -237,16 +182,6 @@ func TestSlideRotatedTabMatchesBins(t *testing.T) {
 	}
 }
 
-func TestFreqShiftPlanarMatchesInterleaved(t *testing.T) {
-	r := NewRand(29)
-	x := randSignal(r, 1000)
-	want := append([]complex128(nil), x...)
-	FreqShift(want, 3.7, 256, 129)
-	p := planarOf(x)
-	FreqShiftPlanar(p, 3.7, 256, 129)
-	requirePlanarEqual(t, "freqshift", p, want)
-}
-
 // BenchmarkPlanarForward256 measures the planar FFT butterflies at the
 // receiver's composite-grid size (compare BenchmarkForward256).
 func BenchmarkPlanarForward256(b *testing.B) {
@@ -265,8 +200,7 @@ func BenchmarkPlanarForward256(b *testing.B) {
 
 // BenchmarkPlanarSlideRotatedTab measures the precomputed-schedule sparse
 // rotated slide on the receiver hot-path shape: 52 selected bins of a
-// 256-bin window, stride-4 diffs (compare BenchmarkSlidingDFTSlide4,
-// which updates all 256 bins).
+// 256-bin window, stride-4 diffs.
 func BenchmarkPlanarSlideRotatedTab(b *testing.B) {
 	const n = 256
 	s := MustSlidingDFT(n)
@@ -306,35 +240,4 @@ func BenchmarkPlanarSlideRotatedTabScalar(b *testing.B) {
 	ForceScalar(true)
 	defer ForceScalar(false)
 	BenchmarkPlanarSlideRotatedTab(b)
-}
-
-// BenchmarkPlanarFreqShift measures the planar frequency shift over one
-// data-symbol-sized window (compare BenchmarkFreqShift, which covers a
-// whole packet).
-func BenchmarkPlanarFreqShift(b *testing.B) {
-	const n = 320
-	r := NewRand(1)
-	x := planarOf(randSignal(r, n))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FreqShiftPlanar(x, 3.7, 256, i*n)
-	}
-}
-
-// BenchmarkPlanarFreqShiftScalar is BenchmarkPlanarFreqShift with the
-// SIMD dispatch forced off.
-func BenchmarkPlanarFreqShiftScalar(b *testing.B) {
-	ForceScalar(true)
-	defer ForceScalar(false)
-	BenchmarkPlanarFreqShift(b)
-}
-
-// CorrectTestRamp applies the rotated-domain ramp used by the SlideRotated
-// tests: bins[k] *= e^{+i 2π k delta / n}.
-func CorrectTestRamp(bins []complex128, delta, n int) {
-	for k := range bins {
-		s, c := math.Sincos(2 * math.Pi * float64(k) * float64(delta) / float64(n))
-		bins[k] *= complex(c, s)
-	}
 }

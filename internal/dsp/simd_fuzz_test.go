@@ -137,23 +137,3 @@ func FuzzSlideRotatedTab(f *testing.F) {
 		fuzzComparePlanar(t, "SlideRotatedTab", simd, scalar)
 	})
 }
-
-func FuzzFreqShiftPlanar(f *testing.F) {
-	f.Add(uint16(130), uint64(5), int64(3), uint64(math.Float64bits(3.7)), []byte{1, 2, 3, 4})
-	f.Add(uint16(64), uint64(9), int64(-40), uint64(math.Float64bits(-0.25)), []byte{})
-	f.Add(uint16(1), uint64(2), int64(1<<40), uint64(math.Float64bits(100.5)), []byte{7, 7})
-	f.Fuzz(func(t *testing.T, nRaw uint16, seed uint64, start int64, shiftBits uint64, data []byte) {
-		n := int(nRaw) % 400
-		shift := math.Float64frombits(shiftBits)
-		if math.IsNaN(shift) || math.IsInf(shift, 0) {
-			shift = float64(int64(shiftBits%4096) - 2048)
-		}
-		re := fuzzFloats(data, seed, n)
-		im := fuzzFloats(data, seed^0x7777, n)
-		simd := planarFromFloats(re, im)
-		scalar := planarFromFloats(re, im)
-		FreqShiftPlanar(simd, shift, 256, int(start%(1<<31)))
-		forceScalarDuring(func() { FreqShiftPlanar(scalar, shift, 256, int(start%(1<<31))) })
-		fuzzComparePlanar(t, "FreqShiftPlanar", simd, scalar)
-	})
-}

@@ -146,22 +146,6 @@ func TestSIMDSlideRotatedTabMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestSIMDFreqShiftPlanarMatchesScalar(t *testing.T) {
-	r := NewRand(17)
-	for _, n := range []int{1, 2, 3, 5, 8, 63, 64, 65, 127, 130, 256, 300} {
-		x := randSignal(r, n)
-		for _, shift := range []float64{0, 1, -2.5, 3.7, 31.03} {
-			for _, start := range []int{0, 1, 64, 1000} {
-				simd := planarOf(x)
-				scalar := planarOf(x)
-				FreqShiftPlanar(simd, shift, 256, start)
-				forceScalarDuring(func() { FreqShiftPlanar(scalar, shift, 256, start) })
-				requirePlanarBitsEqual(t, "freqshift/n="+strconv.Itoa(n), simd, scalar)
-			}
-		}
-	}
-}
-
 func TestSlideTabForRejectsDuplicateBins(t *testing.T) {
 	s := MustSlidingDFT(16)
 	if _, err := s.SlideTabFor(3, 2, []int{1, 5, 1}); err == nil {

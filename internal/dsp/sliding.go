@@ -2,19 +2,23 @@ package dsp
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
-// SlidingDFT incrementally advances a DFT window over a sample stream.
-// Given the DFT X of the window [t, t+N), Slide produces the DFT of the
-// window [t+m, t+m+N) in O(N·m) operations instead of an O(N log N)
-// transform, using the per-bin update
+// SlidingDFT advances a phase-corrected DFT window over a sample stream.
+// CPRecycle's P FFT windows per OFDM symbol share all but a few (stride)
+// samples, so only the first window needs a full transform; each further
+// window comes from the previous one by a rotated-domain update. If bins
+// holds R_δ·DFT(window at t), where R_δ[k] = e^{+i 2π k δ / N} is the
+// Eq. 2 segment correction, then R_{δ−m}·DFT(window at t+m) is
 //
-//	X'[k] = (X[k] + Σ_{j<m} (x[t+N+j] − x[t+j])·e^{−i2πkj/N}) · e^{+i2πkm/N}.
+//	bins'[k] = bins[k] + Σ_{j<m} (x[t+N+j] − x[t+j])·e^{+i 2π k (δ−j) / N},
 //
-// This is the paper's central compute saving opportunity: CPRecycle's P
-// FFT windows per OFDM symbol share all but a few (stride) samples, so
-// only the first window needs a full transform.
+// because the window advance and the ramp slope decrement cancel: m
+// multiply-adds per bin instead of an O(N log N) transform. SlideRotatedTab
+// runs that update at a fixed bin selection off a precomputed twiddle
+// schedule (SlideTabFor); that is the paper's central compute saving.
 //
 // The update multiplies exclusively by unit-magnitude twiddles, so the
 // numerical drift relative to a direct transform grows only with machine
@@ -23,14 +27,13 @@ import (
 // periodically — the CPRecycle receivers slide at most a few dozen times
 // per seed, far below any threshold of concern.
 //
-// A SlidingDFT is safe for concurrent use once created: Slide writes only
-// to the caller's bins slice.
+// A SlidingDFT is safe for concurrent use once created: SlideRotatedTab
+// writes only to the caller's dst planes.
 type SlidingDFT struct {
 	n int
-	w []complex128 // w[r] = e^{-i 2π r / n}, full resolution
-	// wP holds the same twiddles as adjacent (re, im) float pairs — the
-	// layout the planar kernels read, one cache line per random index
-	// instead of two gathers from split tables.
+	// wP holds the twiddles e^{-i 2π r / n}, r in [0, n), as adjacent
+	// (re, im) float pairs: one cache line per random index instead of
+	// two gathers from split tables.
 	wP []float64
 	// tabs caches SlideTabFor schedules: tabKey -> *SlideTab. Hash
 	// collisions are resolved by comparing the stored bin selection.
@@ -43,11 +46,11 @@ func NewSlidingDFT(n int) (*SlidingDFT, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dsp: SlidingDFT size %d must be positive", n)
 	}
-	s := &SlidingDFT{n: n, w: twiddleTable(n)}
-	s.wP = make([]float64, 2*n)
-	for r, v := range s.w {
-		s.wP[2*r] = real(v)
-		s.wP[2*r+1] = imag(v)
+	s := &SlidingDFT{n: n, wP: make([]float64, 2*n)}
+	for r := 0; r < n; r++ {
+		sin, cos := math.Sincos(2 * math.Pi * float64(r) / float64(n))
+		s.wP[2*r] = cos
+		s.wP[2*r+1] = -sin
 	}
 	return s, nil
 }
@@ -78,144 +81,4 @@ func SlidingFor(n int) (*SlidingDFT, error) {
 	}
 	v, _ := slidingCache.LoadOrStore(n, s)
 	return v.(*SlidingDFT), nil
-}
-
-// Size returns the window length the kernel was built for.
-func (s *SlidingDFT) Size() int { return s.n }
-
-// Slide advances bins — the DFT of the window starting at some sample t —
-// by m = len(outgoing) samples in place. outgoing must hold the samples
-// x[t : t+m] leaving the window and incoming the samples x[t+N : t+N+m]
-// entering it. m may be any value in [0, N].
-func (s *SlidingDFT) Slide(bins, outgoing, incoming []complex128) {
-	n := s.n
-	if len(bins) != n {
-		panic(fmt.Sprintf("dsp: Slide bins length %d, kernel size %d", len(bins), n))
-	}
-	m := len(outgoing)
-	if len(incoming) != m {
-		panic(fmt.Sprintf("dsp: Slide got %d outgoing but %d incoming samples", m, len(incoming)))
-	}
-	if m == 0 {
-		return
-	}
-	if m > n {
-		panic(fmt.Sprintf("dsp: Slide step %d exceeds window size %d", m, n))
-	}
-	w := s.w
-	// rotStep indexes w for the inverse rotation e^{+i2πkm/N} = w[(n-m)·k mod n].
-	rotStep := n - m
-	if rotStep == n {
-		rotStep = 0
-	}
-	rot := 0
-	for k := 0; k < n; k++ {
-		acc := bins[k]
-		// idx walks k·j mod n for j = 0..m-1 (step k per j).
-		idx := 0
-		for j := 0; j < m; j++ {
-			acc += (incoming[j] - outgoing[j]) * w[idx]
-			idx += k
-			if idx >= n {
-				idx -= n
-			}
-		}
-		bins[k] = acc * w[rot]
-		rot += rotStep
-		if rot >= n {
-			rot -= n
-		}
-	}
-}
-
-// SlideRotated advances a ROTATED spectrum: bins is assumed to hold
-// R_δ·DFT(window at t) where R_δ[k] = e^{+i 2π k δ / N} is a phase ramp of
-// integer slope δ (e.g. an OFDM segment correction), and after the call it
-// holds R_{δ−m}·DFT(window at t+m), with m = len(diffs).
-//
-// In the rotated domain the slide needs NO per-bin output rotation — the
-// window advance and the ramp slope decrement cancel — so the whole update
-// is m multiply-adds per bin:
-//
-//	bins'[k] = bins[k] + Σ_{j<m} diffs[j]·e^{+i 2π k (δ−j) / N}.
-//
-// diffs must hold x[t+N+j] − x[t+j] (the entering minus the leaving
-// sample), pre-scaled by whatever constant the caller keeps the spectrum
-// in (e.g. 1/N for ofdm demodulation). delta is δ, the ramp slope BEFORE
-// the slide; it may be any integer ≥ m−1 ... in fact any value, it is
-// reduced mod N.
-func (s *SlidingDFT) SlideRotated(bins, diffs []complex128, delta int) {
-	n := s.n
-	if len(bins) != n {
-		panic(fmt.Sprintf("dsp: SlideRotated bins length %d, kernel size %d", len(bins), n))
-	}
-	m := len(diffs)
-	if m == 0 {
-		return
-	}
-	if m > n {
-		panic(fmt.Sprintf("dsp: SlideRotated step %d exceeds window size %d", m, n))
-	}
-	w := s.w
-	// e^{+i 2π k c / N} = w[(n − c mod n)·k mod n]. For j = 0..m-1 the
-	// slope c = δ−j increases the table step by 1 per j, so for bin k the
-	// index walks start, start+k, start+2k, … where start corresponds to
-	// c = δ.
-	base := (n - delta%n) % n
-	if base < 0 {
-		base += n
-	}
-	start := 0
-	for k := 0; k < n; k++ {
-		acc := bins[k]
-		idx := start
-		for j := 0; j < m; j++ {
-			acc += diffs[j] * w[idx]
-			idx += k
-			if idx >= n {
-				idx -= n
-			}
-		}
-		bins[k] = acc
-		start += base
-		if start >= n {
-			start -= n
-		}
-	}
-}
-
-// SlideRotatedBins is SlideRotated restricted to the listed DFT bins: only
-// bins[k] for k in sel are updated, in identical arithmetic to the full
-// update, so a receiver that consumes a fixed subcarrier subset can skip
-// ~80% of the per-slide work on an oversampled grid. Unlisted bins are
-// left untouched (stale).
-func (s *SlidingDFT) SlideRotatedBins(bins, diffs []complex128, delta int, sel []int) {
-	n := s.n
-	if len(bins) != n {
-		panic(fmt.Sprintf("dsp: SlideRotatedBins bins length %d, kernel size %d", len(bins), n))
-	}
-	m := len(diffs)
-	if m == 0 {
-		return
-	}
-	if m > n {
-		panic(fmt.Sprintf("dsp: SlideRotatedBins step %d exceeds window size %d", m, n))
-	}
-	w := s.w
-	base := (n - delta%n) % n
-	if base < 0 {
-		base += n
-	}
-	for _, k := range sel {
-		acc := bins[k]
-		idx := (base * k) % n
-		for j := 0; j < m; j++ {
-			acc += diffs[j] * w[idx]
-			idx += k
-			if idx >= n {
-				idx -= n
-			}
-		}
-		bins[k] = acc
-	}
 }

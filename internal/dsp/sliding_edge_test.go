@@ -3,71 +3,77 @@ package dsp
 import "testing"
 
 // TestSlideRotatedBinsEdgeCases covers the selection-driven corner cases
-// of the sparse rotated slide: an empty selection is a no-op, the full-bin
-// selection is exactly equivalent to SlideRotated, and delta values at or
-// beyond the window size reduce mod N (including negative deltas).
+// of SlideRotatedTab: an empty selection is a no-op, the full-bin
+// selection matches the direct reference bit for bit (copying and in
+// place), delta values at or beyond the window size reduce mod N
+// (including negative deltas) to one shared schedule, and a diffs length
+// other than the table's step panics.
 func TestSlideRotatedBinsEdgeCases(t *testing.T) {
 	const n = 64
 	r := NewRand(37)
 	x := randSignal(r, 3*n)
 	s := MustSlidingDFT(n)
-	diffs := make([]complex128, 3)
-	for j := range diffs {
-		diffs[j] = x[n+j] - x[j]
-	}
+	diffs := diffsAt(x, 0, n, 3)
+	before := FFT(x[:n])
 
 	// Empty selection: no bin may change.
-	bins := FFT(x[:n])
-	before := append([]complex128(nil), bins...)
-	s.SlideRotatedBins(bins, diffs, 7, nil)
-	s.SlideRotatedBins(bins, diffs, 7, []int{})
-	if d := MaxAbsDiff(bins, before); d != 0 {
-		t.Fatalf("empty selection changed bins by %g", d)
-	}
-
-	// Full-bin selection ≡ SlideRotated, bit for bit.
-	full := make([]int, n)
-	for k := range full {
-		full[k] = k
-	}
-	want := append([]complex128(nil), before...)
-	s.SlideRotated(want, diffs, 7)
-	s.SlideRotatedBins(bins, diffs, 7, full)
-	for k := range bins {
-		if bins[k] != want[k] {
-			t.Fatalf("full selection bin %d: %v, want %v", k, bins[k], want[k])
+	for _, sel := range [][]int{nil, {}} {
+		bins := planarOf(before)
+		slideAt(t, s, bins, diffs, 7, sel)
+		if d := planarDiff(bins, before); d != 0 {
+			t.Fatalf("empty selection changed bins by %g", d)
 		}
 	}
 
-	// Delta wraps: δ, δ±N and δ+2N must produce identical updates, and
-	// δ = N must behave as δ = 0.
+	// Full-bin selection ≡ the direct reference, bit for bit.
+	full := allBins(n)
+	want := append([]complex128(nil), before...)
+	slideRotatedBinsRef(s, want, diffs, 7, full)
+	tab, err := s.SlideTabFor(7, len(diffs), full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := planarOf(before), NewPlanar(n)
+	s.SlideRotatedTab(dst, src, planarOf(diffs), tab)
+	s.SlideRotatedTab(src, src, planarOf(diffs), tab)
+	for k := range want {
+		if dst.At(k) != want[k] || src.At(k) != want[k] {
+			t.Fatalf("full selection bin %d: %v / %v in place, want %v", k, dst.At(k), src.At(k), want[k])
+		}
+	}
+
+	// Delta wraps: δ, δ±N and δ+2N must share one schedule and produce
+	// identical updates, and δ = N must behave as δ = 0.
 	for _, base := range []int{0, 1, n - 1} {
-		ref := append([]complex128(nil), before...)
-		s.SlideRotatedBins(ref, diffs, base, full)
+		ref := planarOf(before)
+		slideAt(t, s, ref, diffs, base, full)
+		refTab, err := s.SlideTabFor(base, len(diffs), full)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, delta := range []int{base + n, base + 2*n, base - n} {
-			got := append([]complex128(nil), before...)
-			s.SlideRotatedBins(got, diffs, delta, full)
-			for k := range got {
-				if got[k] != ref[k] {
-					t.Fatalf("delta %d bin %d: %v, want %v (δ=%d)", delta, k, got[k], ref[k], base)
+			if tab, err := s.SlideTabFor(delta, len(diffs), full); err != nil || tab != refTab {
+				t.Fatalf("delta %d did not share the δ=%d schedule (err %v)", delta, base, err)
+			}
+			got := planarOf(before)
+			slideAt(t, s, got, diffs, delta, full)
+			for k := 0; k < n; k++ {
+				if got.At(k) != ref.At(k) {
+					t.Fatalf("delta %d bin %d: %v, want %v (δ=%d)", delta, k, got.At(k), ref.At(k), base)
 				}
 			}
 		}
 	}
 
-	// m = 0 is a no-op even with a selection; m > N panics.
-	bins2 := append([]complex128(nil), before...)
-	s.SlideRotatedBins(bins2, nil, 5, full)
-	if d := MaxAbsDiff(bins2, before); d != 0 {
-		t.Fatalf("zero-step slide changed bins by %g", d)
-	}
+	// The diffs must hold exactly the table's step.
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("oversized step did not panic")
+				t.Fatal("diffs/step mismatch did not panic")
 			}
 		}()
-		s.SlideRotatedBins(bins2, make([]complex128, n+1), 5, full)
+		bins := planarOf(before)
+		s.SlideRotatedTab(bins, bins, NewPlanar(len(diffs)+1), tab)
 	}()
 }
 

@@ -10,8 +10,8 @@ import (
 // m restricted to a fixed bin selection, flattened in (bin-major, j-minor)
 // order as re/im pairs. Receivers advance the same segment plan over every
 // OFDM symbol, so the (delta, m, sel) triple of each slide recurs
-// packet after packet; the table replaces all modular index arithmetic of
-// SlideRotatedBins with one linear read stream. Tables are immutable and
+// packet after packet; the table replaces the modular twiddle-index walk
+// of a direct update with one linear read stream. Tables are immutable and
 // cached on the SlidingDFT, so they are safe for concurrent use.
 type SlideTab struct {
 	m   int
@@ -32,13 +32,6 @@ type SlideTab struct {
 	scalarPos []int32
 }
 
-// Step returns the slide step m the table was built for.
-func (t *SlideTab) Step() int { return t.m }
-
-// Bins returns the bin selection the table was built for (not a copy; do
-// not modify).
-func (t *SlideTab) Bins() []int { return t.sel }
-
 // tabKey identifies a cached slide table: the schedule depends on
 // (delta mod n, m) and on the bin selection, folded to a hash here and
 // verified on lookup.
@@ -57,11 +50,12 @@ func selHash(sel []int) int {
 }
 
 // SlideTabFor returns the (process-cached, immutable) twiddle schedule for
-// a rotated slide of step m with pre-slide ramp slope delta, restricted to
-// the listed bins. All bins must be distinct and in [0, n); m must be in
-// [1, n]. (A duplicated bin would make the result depend on update order
-// when dst aliases src in SlideRotatedTab — and the SIMD layout processes
-// bins in dense-run order, not sel order — so it is rejected here.)
+// a rotated slide of step m with pre-slide ramp slope delta (any integer;
+// it is reduced mod n), restricted to the listed bins. All bins must be
+// distinct and in [0, n); m must be in [1, n]. (A duplicated bin would
+// make the result depend on update order when dst aliases src in
+// SlideRotatedTab — and the SIMD layout processes bins in dense-run
+// order, not sel order — so it is rejected here.)
 func (s *SlidingDFT) SlideTabFor(delta, m int, sel []int) (*SlideTab, error) {
 	n := s.n
 	if m <= 0 || m > n {
@@ -93,9 +87,9 @@ func (s *SlidingDFT) SlideTabFor(delta, m int, sel []int) (*SlideTab, error) {
 		if k < 0 || k >= n {
 			return nil, fmt.Errorf("dsp: SlideTabFor bin %d outside [0,%d)", k, n)
 		}
-		// The same index walk as SlideRotatedBins: start at (base·k) mod n,
-		// step k per j. The stored values are copies of the same twiddle
-		// table, so products computed from them are bit-identical.
+		// Twiddle index of e^{+i 2π k (δ−j) / N}: start at (base·k) mod n,
+		// step k per j. The stored values are copies of the kernel's
+		// twiddle table.
 		idx := (base * k) % n
 		for j := 0; j < m; j++ {
 			t.tw = append(t.tw, s.wP[2*idx], s.wP[2*idx+1])
@@ -116,11 +110,12 @@ func (s *SlidingDFT) SlideTabFor(delta, m int, sel []int) (*SlideTab, error) {
 
 // SlideRotatedTab advances src's rotated spectrum by the table's step into
 // dst at the table's selected bins only: dst[k] = src[k] + Σ_j diffs[j]·
-// e^{+i 2π k (δ−j) / N}, in arithmetic identical to SlideRotatedBins (and
-// its planar twin), fused with the copy so unselected dst bins are left
-// untouched. diffs must hold exactly Step() samples. src and dst may alias
-// (the update is per-bin in place); when they are distinct buffers the
-// caller saves the full-window copy the in-place kernels require.
+// e^{+i 2π k (δ−j) / N} (see SlidingDFT), fused with the copy so
+// unselected dst bins are left untouched. diffs must hold exactly the
+// table's step m of entering-minus-leaving samples x[t+N+j] − x[t+j],
+// pre-scaled by whatever constant the caller keeps the spectrum in (1/N
+// for ofdm demodulation). src and dst may alias (the update is per-bin in place); when
+// they are distinct buffers the caller saves a full-window copy.
 func (s *SlidingDFT) SlideRotatedTab(dst, src, diffs Planar, tab *SlideTab) {
 	n := s.n
 	if dst.Len() != n || src.Len() != n {

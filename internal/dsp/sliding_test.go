@@ -14,34 +14,113 @@ func randSignal(r *Rand, n int) []complex128 {
 	return x
 }
 
-// TestSlidingDFTMatchesForward slides a window over a long random stream
-// with every stride in 1..5 (and a mixed-stride walk) across several window
-// sizes, comparing each slid spectrum against a direct transform of the same
-// window. The tolerance bounds the per-slide numerical drift of the
-// recurrence; hundreds of consecutive slides stay far below 1e-9.
+// slideRotatedBinsRef is the direct form of the rotated slide that
+// SlideRotatedTab tabulates: for each selected bin k, bins[k] +=
+// Σ_j diffs[j]·e^{+i 2π k (δ−j) / N}, walking the twiddle index by k per
+// j in complex128 arithmetic. The table kernel is pinned to it bit for
+// bit; the ramped-FFT tests below pin both to the mathematics.
+func slideRotatedBinsRef(s *SlidingDFT, bins, diffs []complex128, delta int, sel []int) {
+	n := s.n
+	base := (n - delta%n) % n
+	if base < 0 {
+		base += n
+	}
+	for _, k := range sel {
+		acc := bins[k]
+		idx := (base * k) % n
+		for j := range diffs {
+			acc += diffs[j] * complex(s.wP[2*idx], s.wP[2*idx+1])
+			idx += k
+			if idx >= n {
+				idx -= n
+			}
+		}
+		bins[k] = acc
+	}
+}
+
+// allBins returns the full selection 0..n-1.
+func allBins(n int) []int {
+	sel := make([]int, n)
+	for k := range sel {
+		sel[k] = k
+	}
+	return sel
+}
+
+// diffsAt returns the m sample differences x[start+n+j] − x[start+j] of a
+// slide of the n-sample window at start.
+func diffsAt(x []complex128, start, n, m int) []complex128 {
+	d := make([]complex128, m)
+	for j := range d {
+		d[j] = x[start+n+j] - x[start+j]
+	}
+	return d
+}
+
+// rampBins applies the Eq. 2 ramp of slope delta: bins[k] *=
+// e^{+i 2π k delta / n}, with delta reduced mod n first.
+func rampBins(bins []complex128, delta int) {
+	n := len(bins)
+	delta = (delta%n + n) % n
+	for k := range bins {
+		sv, cv := math.Sincos(2 * math.Pi * float64(k) * float64(delta) / float64(n))
+		bins[k] *= complex(cv, sv)
+	}
+}
+
+// rampedDFT returns R_δ·DFT(x) for a power-of-two len(x).
+func rampedDFT(x []complex128, delta int) []complex128 {
+	out := FFT(x)
+	rampBins(out, delta)
+	return out
+}
+
+// slideAt advances bins in place by one rotated slide of len(diffs)
+// samples with pre-slide slope delta, at the selected bins.
+func slideAt(t *testing.T, s *SlidingDFT, bins Planar, diffs []complex128, delta int, sel []int) {
+	t.Helper()
+	tab, err := s.SlideTabFor(delta, len(diffs), sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SlideRotatedTab(bins, bins, planarOf(diffs), tab)
+}
+
+// planarDiff is MaxAbsDiff between a planar vector and want.
+func planarDiff(p Planar, want []complex128) float64 {
+	got := make([]complex128, p.Len())
+	Interleave(got, p)
+	return MaxAbsDiff(got, want)
+}
+
+// TestSlidingDFTMatchesForward slides a rotated spectrum over a long
+// random stream with every stride in 1..5 across several window sizes,
+// comparing each slid spectrum against a directly transformed and ramped
+// copy of the same window. The tolerance bounds the per-slide numerical
+// drift of the recurrence; hundreds of consecutive slides stay far below
+// 1e-9.
 func TestSlidingDFTMatchesForward(t *testing.T) {
 	r := NewRand(42)
 	for _, n := range []int{8, 64, 256} {
-		plan := MustFFTPlan(n)
 		x := randSignal(r, n+1024)
+		all := allBins(n)
 		for _, stride := range []int{1, 2, 3, 4, 5} {
 			s := MustSlidingDFT(n)
-			bins := make([]complex128, n)
-			copy(bins, x[:n])
-			plan.Forward(bins)
-			want := make([]complex128, n)
+			delta := n / 4
+			bins := planarOf(rampedDFT(x[:n], delta))
 			slides := 0
 			for start := 0; start+stride+n <= len(x); start += stride {
-				s.Slide(bins, x[start:start+stride], x[start+n:start+n+stride])
+				slideAt(t, s, bins, diffsAt(x, start, n, stride), delta, all)
+				delta -= stride
 				slides++
 				// Spot-check every few slides (and always the last) to keep
-				// the O(n²) oracle cost down.
+				// the oracle cost down.
 				if slides%7 != 0 && start+2*stride+n <= len(x) {
 					continue
 				}
-				copy(want, x[start+stride:start+stride+n])
-				plan.Forward(want)
-				if d := MaxAbsDiff(bins, want); d > 1e-9 {
+				want := rampedDFT(x[start+stride:start+stride+n], delta)
+				if d := planarDiff(bins, want); d > 1e-9 {
 					t.Fatalf("n=%d stride=%d after %d slides: max diff %g", n, stride, slides, d)
 				}
 			}
@@ -53,28 +132,31 @@ func TestSlidingDFTMatchesForward(t *testing.T) {
 }
 
 // TestSlidingDFTMixedSteps advances by a different step each slide,
-// including m = 0 (no-op) and a full window m = N.
+// including a full window m = N; a zero step and one beyond the window
+// are rejected when the schedule is built.
 func TestSlidingDFTMixedSteps(t *testing.T) {
 	const n = 64
 	r := NewRand(7)
-	plan := MustFFTPlan(n)
 	x := randSignal(r, 4*n)
 	s := MustSlidingDFT(n)
-	bins := make([]complex128, n)
-	copy(bins, x[:n])
-	plan.Forward(bins)
-	want := make([]complex128, n)
+	all := allBins(n)
+	delta := 0
+	bins := planarOf(rampedDFT(x[:n], delta))
 	start := 0
-	for _, m := range []int{0, 1, 3, 4, 2, n, 5, 1} {
+	for _, m := range []int{1, 3, 4, 2, n, 5, 1} {
 		if start+m+n > len(x) {
 			break
 		}
-		s.Slide(bins, x[start:start+m], x[start+n:start+n+m])
+		slideAt(t, s, bins, diffsAt(x, start, n, m), delta, all)
+		delta -= m
 		start += m
-		copy(want, x[start:start+n])
-		plan.Forward(want)
-		if d := MaxAbsDiff(bins, want); d > 1e-10 {
+		if d := planarDiff(bins, rampedDFT(x[start:start+n], delta)); d > 1e-10 {
 			t.Fatalf("after step %d (window at %d): max diff %g", m, start, d)
+		}
+	}
+	for _, m := range []int{0, n + 1} {
+		if _, err := s.SlideTabFor(0, m, all); err == nil {
+			t.Fatalf("step %d accepted", m)
 		}
 	}
 }
@@ -86,11 +168,17 @@ func TestSlidingDFTNonPow2(t *testing.T) {
 	r := NewRand(3)
 	x := randSignal(r, 5*n)
 	s := MustSlidingDFT(n)
-	bins := DFTNaive(x[:n])
+	all := allBins(n)
+	delta := 5
+	first := DFTNaive(x[:n])
+	rampBins(first, delta)
+	bins := planarOf(first)
 	for start := 0; start+1+n <= 3*n; start++ {
-		s.Slide(bins, x[start:start+1], x[start+n:start+n+1])
+		slideAt(t, s, bins, diffsAt(x, start, n, 1), delta, all)
+		delta--
 		want := DFTNaive(x[start+1 : start+1+n])
-		if d := MaxAbsDiff(bins, want); d > 1e-9 {
+		rampBins(want, delta)
+		if d := planarDiff(bins, want); d > 1e-9 {
 			t.Fatalf("start %d: max diff %g", start+1, d)
 		}
 	}
@@ -176,19 +264,6 @@ func TestFreqShiftPhasorAccuracy(t *testing.T) {
 	}
 }
 
-func BenchmarkSlidingDFTSlide4(b *testing.B) {
-	const n = 256
-	s := MustSlidingDFT(n)
-	r := NewRand(1)
-	x := randSignal(r, 2*n)
-	bins := FFT(x[:n])
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Slide(bins, x[:4], x[n:n+4])
-	}
-}
-
 func BenchmarkForward256(b *testing.B) {
 	const n = 256
 	p := MustFFTPlan(n)
@@ -213,60 +288,39 @@ func BenchmarkFreqShift(b *testing.B) {
 	}
 }
 
-// TestSlideRotatedMatchesRampedForward checks the rotated-domain slide:
-// starting from a ramped spectrum R_δ·DFT(w₀), successive slides must
-// track R_{δ−Σm}·DFT(w_t) as computed directly.
+// TestSlideRotatedMatchesRampedForward checks the rotated-domain slide
+// on a mixed step walk: starting from a ramped spectrum R_δ·DFT(w₀), the
+// full-selection slides must track R_{δ−Σm}·DFT(w_t) as computed
+// directly, and a sparse selection must match the full update exactly at
+// its bins.
 func TestSlideRotatedMatchesRampedForward(t *testing.T) {
 	const n = 64
 	r := NewRand(11)
-	plan := MustFFTPlan(n)
 	x := randSignal(r, 6*n)
 	s := MustSlidingDFT(n)
-
-	ramp := func(bins []complex128, delta int) {
-		for k := range bins {
-			theta := 2 * math.Pi * float64(k) * float64(delta) / float64(n)
-			sv, cv := math.Sincos(theta)
-			bins[k] *= complex(cv, sv)
-		}
-	}
+	all := allBins(n)
 
 	delta := 16
-	bins := make([]complex128, n)
-	copy(bins, x[:n])
-	plan.Forward(bins)
-	ramp(bins, delta)
-
+	bins := planarOf(rampedDFT(x[:n], delta))
 	sel := []int{0, 1, 5, 17, 40, 63}
-	sparse := append([]complex128(nil), bins...)
+	sparse := NewPlanar(n)
+	CopyPlanar(sparse, bins)
 
 	start := 0
-	diffs := make([]complex128, 4)
-	want := make([]complex128, n)
 	for _, m := range []int{1, 4, 2, 3, 4, 1, 1} {
-		d := diffs[:m]
-		for j := 0; j < m; j++ {
-			d[j] = x[start+n+j] - x[start+j]
-		}
-		s.SlideRotated(bins, d, delta)
-		s.SlideRotatedBins(sparse, d, delta, sel)
+		d := diffsAt(x, start, n, m)
+		slideAt(t, s, bins, d, delta, all)
+		slideAt(t, s, sparse, d, delta, sel)
 		delta -= m
 		start += m
 
-		copy(want, x[start:start+n])
-		plan.Forward(want)
-		ramp(want, delta)
-		if diff := MaxAbsDiff(bins, want); diff > 1e-10 {
+		if diff := planarDiff(bins, rampedDFT(x[start:start+n], delta)); diff > 1e-10 {
 			t.Fatalf("after slide to %d (δ=%d): diff %g", start, delta, diff)
 		}
 		for _, k := range sel {
-			if d := cmplxAbs(sparse[k] - bins[k]); d != 0 {
-				t.Fatalf("sparse bin %d differs from full update by %g", k, d)
+			if sparse.At(k) != bins.At(k) {
+				t.Fatalf("sparse bin %d: %v, full update %v", k, sparse.At(k), bins.At(k))
 			}
 		}
 	}
-}
-
-func cmplxAbs(v complex128) float64 {
-	return math.Sqrt(real(v)*real(v) + imag(v)*imag(v))
 }

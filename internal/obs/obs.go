@@ -93,22 +93,6 @@ func (g *Gauge) snapshot(dst map[string]float64, name string) {
 	dst[name+g.labels] = float64(g.v.Load())
 }
 
-// GaugeFunc is a gauge sampled at scrape time from a closure — for
-// values some other subsystem already tracks (goroutine counts, queue
-// depths) where mirroring into an atomic would just drift.
-type GaugeFunc struct {
-	fn     func() float64
-	labels string
-}
-
-func (g *GaugeFunc) labelKey() string { return g.labels }
-func (g *GaugeFunc) write(w io.Writer, name string) {
-	fmt.Fprintf(w, "%s%s %s\n", name, g.labels, formatFloat(g.fn()))
-}
-func (g *GaugeFunc) snapshot(dst map[string]float64, name string) {
-	dst[name+g.labels] = g.fn()
-}
-
 // Histogram is a fixed-bucket histogram. Observe is lock-free: one
 // linear bucket scan (bucket counts are tiny and fixed) plus three
 // atomic updates, no allocations.
@@ -233,13 +217,6 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return g
 }
 
-// GaugeFunc registers a scrape-time sampled gauge.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) *GaugeFunc {
-	g := &GaugeFunc{fn: fn, labels: renderLabels(labels)}
-	r.register(name, help, "gauge", g)
-	return g
-}
-
 // Histogram registers a fixed-bucket histogram; bounds must be
 // ascending upper bounds (the +Inf bucket is implicit).
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
@@ -265,16 +242,13 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	return h
 }
 
-// NewCounter, NewGauge, NewGaugeFunc and NewHistogram register on the
+// NewCounter, NewGauge and NewHistogram register on the
 // Default registry.
 func NewCounter(name, help string, labels ...Label) *Counter {
 	return Default.Counter(name, help, labels...)
 }
 func NewGauge(name, help string, labels ...Label) *Gauge {
 	return Default.Gauge(name, help, labels...)
-}
-func NewGaugeFunc(name, help string, fn func() float64, labels ...Label) *GaugeFunc {
-	return Default.GaugeFunc(name, help, fn, labels...)
 }
 func NewHistogram(name, help string, bounds []float64, labels ...Label) *Histogram {
 	return Default.Histogram(name, help, bounds, labels...)

@@ -11,10 +11,9 @@
 // composite band is simply an oversampled view, so all signal properties are
 // preserved).
 //
-// Segment extraction is batched: Demodulator.Segments / SegmentsOn
-// compute all P windows of a symbol with one seed FFT plus sliding-DFT
-// updates (optionally restricted to a fixed bin subset) and cached
-// phase-ramp tables. The retired one-FFT-per-window form survives only as
+// Segment extraction is batched: Demodulator.Segments computes all P
+// windows of a symbol with one seed FFT plus sliding-DFT updates at a
+// fixed bin selection and cached phase-ramp tables. The retired one-FFT-per-window form survives only as
 // the independent reference implementation inside the package tests.
 package ofdm
 

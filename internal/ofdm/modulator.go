@@ -121,20 +121,17 @@ func (m *Modulator) GainForUnitPower(nOccupied int) float64 {
 }
 
 // Demodulator computes FFT windows over a received stream on a Grid,
-// including the multi-segment windows CPRecycle uses. The batch
-// SegmentsPlanar/SegmentsOnPlanar methods compute all P windows of a
-// symbol with one seed FFT plus incremental sliding-DFT updates — running
-// entirely on planar (split re/im) buffers, with per-slide twiddle
-// schedules (dsp.SlideTab) and cached Eq. 2 phase-ramp tables — and the
-// interleaved Segments/SegmentsOn forms are thin converting wrappers over
-// the same planar core. Not safe for concurrent use.
+// including the multi-segment windows CPRecycle uses. Segments computes
+// all P windows of a symbol with one seed FFT plus incremental
+// sliding-DFT updates at a fixed bin selection, entirely on planar (split
+// re/im) buffers, with per-slide twiddle schedules (dsp.SlideTab) and
+// cached Eq. 2 phase-ramp tables. Not safe for concurrent use.
 type Demodulator struct {
 	grid   Grid
 	plan   *dsp.FFTPlan
 	sdft   *dsp.SlidingDFT
 	diffs  dsp.Planar        // scaled sample-difference scratch for slides
 	rampsP map[int][]float64 // Eq. 2 ramp tables as (re, im) float pairs
-	iw     []dsp.Planar      // planar scratch backing the interleaved wrappers
 
 	// Memoised twiddle schedules for the current (offsets, sel) pair:
 	// receivers advance the same segment plan every symbol, so the
@@ -214,98 +211,6 @@ func (d *Demodulator) Standard(rx []complex128, symStart int) ([]complex128, err
 	return d.WindowAt(rx, symStart+d.grid.CP)
 }
 
-// Segments demodulates the phase-corrected FFT windows for every CP offset
-// in offsets (strictly increasing, each in [0, CP]) of the symbol whose CP
-// starts at symStart — the paper's P segment windows — using one seed FFT
-// at the earliest offset plus an O(N·stride) sliding-DFT update per
-// further window, instead of P independent O(N log N) transforms.
-//
-// The batch runs on the planar core (SegmentsPlanar) and interleaves the
-// results into dst, whose slices are reused when they have the right
-// length and allocated otherwise; the (possibly grown) slice of windows is
-// returned. Each window matches the retired per-window Segment's output:
-// 1/N scaled and Eq. 2 phase-corrected, in bin order. Passing dst from a
-// previous call makes the batch allocation-free.
-func (d *Demodulator) Segments(rx []complex128, symStart int, offsets []int, dst [][]complex128) ([][]complex128, error) {
-	var err error
-	d.iw, err = d.segmentsPlanar(rx, symStart, offsets, nil, d.iw)
-	if err != nil {
-		return nil, err
-	}
-	dst = growWindows(dst, len(offsets), d.grid.NFFT)
-	for i := range offsets {
-		dsp.Interleave(dst[i], d.iw[i])
-	}
-	return dst, nil
-}
-
-// SegmentsOn is Segments restricted to a fixed set of FFT bins: the first
-// (seed) window is always complete, but the slid windows are only updated
-// at the listed bins — in arithmetic identical to Segments — and hold
-// stale values elsewhere. Receivers that consume a fixed subcarrier set
-// (e.g. the 52 used 802.11 subcarriers out of a 256-bin composite grid)
-// skip most of the per-slide work this way.
-func (d *Demodulator) SegmentsOn(rx []complex128, symStart int, offsets, sel []int, dst [][]complex128) ([][]complex128, error) {
-	var err error
-	d.iw, err = d.SegmentsOnPlanar(rx, symStart, offsets, sel, d.iw)
-	if err != nil {
-		return nil, err
-	}
-	dst = growWindows(dst, len(offsets), d.grid.NFFT)
-	dsp.Interleave(dst[0], d.iw[0])
-	for i := 1; i < len(offsets); i++ {
-		out, w := dst[i], d.iw[i]
-		for _, k := range sel {
-			out[k] = complex(w.Re[k], w.Im[k])
-		}
-	}
-	return dst, nil
-}
-
-// SegmentsPlanar is the planar-native form of Segments: the seed FFT, the
-// Eq. 2 ramp and every sliding-DFT update run on split re/im planes, and
-// the windows are returned as planar buffers (reused from dst when
-// correctly sized). Values are identical to Segments — the planar kernels
-// mirror the interleaved arithmetic operation for operation.
-func (d *Demodulator) SegmentsPlanar(rx []complex128, symStart int, offsets []int, dst []dsp.Planar) ([]dsp.Planar, error) {
-	return d.segmentsPlanar(rx, symStart, offsets, nil, dst)
-}
-
-// SegmentsOnPlanar is SegmentsPlanar restricted to the listed FFT bins:
-// the seed window is complete, slid windows are valid at the selected bins
-// only — unselected bins hold whatever the reused buffer previously held
-// (the interleaved SegmentsOn wrapper shares this contract) — and the
-// batch therefore touches just len(sel) bins per slide. Receivers must
-// read slid windows only at selected bins.
-func (d *Demodulator) SegmentsOnPlanar(rx []complex128, symStart int, offsets, sel []int, dst []dsp.Planar) ([]dsp.Planar, error) {
-	if sel == nil {
-		return nil, fmt.Errorf("ofdm: SegmentsOn needs a bin selection")
-	}
-	for _, k := range sel {
-		if k < 0 || k >= d.grid.NFFT {
-			return nil, fmt.Errorf("ofdm: selected bin %d outside [0,%d)", k, d.grid.NFFT)
-		}
-	}
-	return d.segmentsPlanar(rx, symStart, offsets, sel, dst)
-}
-
-// growWindows sizes a reusable [][]complex128 window set.
-func growWindows(dst [][]complex128, count, n int) [][]complex128 {
-	if cap(dst) >= count {
-		dst = dst[:count] // window buffers beyond the old length are reused below
-	} else {
-		grown := make([][]complex128, count)
-		copy(grown, dst[:cap(dst)])
-		dst = grown
-	}
-	for i := range dst {
-		if len(dst[i]) != n {
-			dst[i] = make([]complex128, n)
-		}
-	}
-	return dst
-}
-
 // slideTabs returns the memoised per-slide twiddle schedules for
 // (offsets, sel), resolving them through the process-wide cache only when
 // the plan or selection changed since the last batch.
@@ -330,7 +235,24 @@ func (d *Demodulator) slideTabs(offsets, sel []int) ([]*dsp.SlideTab, error) {
 	return d.tabSeq, nil
 }
 
-func (d *Demodulator) segmentsPlanar(rx []complex128, symStart int, offsets, sel []int, dst []dsp.Planar) ([]dsp.Planar, error) {
+// Segments demodulates the phase-corrected FFT windows for every CP
+// offset in offsets (strictly increasing, each in [0, CP]) of the symbol
+// whose CP starts at symStart — the paper's P segment windows — using one
+// seed FFT at the earliest offset plus an O(len(sel)·stride) sliding-DFT
+// update per further window, instead of P independent O(N log N)
+// transforms. Each window is 1/N scaled and Eq. 2 phase-corrected, in bin
+// order, on split re/im planes.
+//
+// The seed window is complete; slid windows are valid at the selected
+// bins only, and unselected bins hold whatever the reused buffer held
+// before, so callers must read slid windows only at selected bins. sel
+// must be non-empty when more than one offset is given; its bins must be
+// distinct and in [0, NFFT), which is checked when its slide schedules
+// are first built. Window buffers are reused from dst when correctly
+// sized and allocated otherwise, and the (possibly grown) slice is
+// returned: passing dst from a previous call makes the batch
+// allocation-free.
+func (d *Demodulator) Segments(rx []complex128, symStart int, offsets, sel []int, dst []dsp.Planar) ([]dsp.Planar, error) {
 	if len(offsets) == 0 {
 		return nil, fmt.Errorf("ofdm: Segments needs at least one offset")
 	}
@@ -351,7 +273,10 @@ func (d *Demodulator) segmentsPlanar(rx []complex128, symStart int, offsets, sel
 	}
 
 	var tabs []*dsp.SlideTab
-	if sel != nil && len(offsets) > 1 {
+	if len(offsets) > 1 {
+		if len(sel) == 0 {
+			return nil, fmt.Errorf("ofdm: Segments needs a bin selection to slide")
+		}
 		var err error
 		if tabs, err = d.slideTabs(offsets, sel); err != nil {
 			return nil, err
@@ -372,8 +297,8 @@ func (d *Demodulator) segmentsPlanar(rx []complex128, symStart int, offsets, sel
 	}
 
 	// Seed: full transform of the earliest window, scaled and
-	// phase-corrected exactly like the retired per-window path
-	// (bit-identical output).
+	// phase-corrected exactly like the per-window reference (WindowAt
+	// then CorrectSegmentPhase).
 	seed := dst[0]
 	dsp.Deinterleave(seed, rx[first:first+n])
 	d.plan.ForwardPlanar(seed)
@@ -382,9 +307,8 @@ func (d *Demodulator) segmentsPlanar(rx []complex128, symStart int, offsets, sel
 
 	// Each further window advances the previous one in the phase-corrected
 	// domain, where the window shift and the ramp slope decrement cancel:
-	// m scaled multiply-adds per bin and nothing else. With a selection the
-	// update runs off the precomputed twiddle schedule, fused with the
-	// inter-window copy; without one it is the full planar rotated slide.
+	// m scaled multiply-adds per selected bin, run off the precomputed
+	// twiddle schedule and fused with the inter-window copy.
 	scale := 1 / float64(n)
 	for i := 1; i < len(offsets); i++ {
 		m := offsets[i] - offsets[i-1]
@@ -398,12 +322,7 @@ func (d *Demodulator) segmentsPlanar(rx []complex128, symStart int, offsets, sel
 			diffs.Re[j] = (real(in) - real(out)) * scale
 			diffs.Im[j] = (imag(in) - imag(out)) * scale
 		}
-		if sel != nil {
-			d.sdft.SlideRotatedTab(dst[i], dst[i-1], diffs, tabs[i-1])
-		} else {
-			dsp.CopyPlanar(dst[i], dst[i-1])
-			d.sdft.SlideRotatedPlanar(dst[i], diffs, d.grid.CP-offsets[i-1])
-		}
+		d.sdft.SlideRotatedTab(dst[i], dst[i-1], diffs, tabs[i-1])
 	}
 	return dst, nil
 }

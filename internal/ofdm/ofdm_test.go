@@ -150,10 +150,10 @@ func TestSegmentRejectsBadOffset(t *testing.T) {
 	g := Native80211Grid()
 	d := MustDemodulator(g)
 	rx := make([]complex128, g.SymLen())
-	if _, err := d.Segments(rx, 0, []int{-1}, nil); err == nil {
+	if _, err := d.Segments(rx, 0, []int{-1}, nil, nil); err == nil {
 		t.Fatal("negative offset should fail")
 	}
-	if _, err := d.Segments(rx, 0, []int{g.CP + 1}, nil); err == nil {
+	if _, err := d.Segments(rx, 0, []int{g.CP + 1}, nil, nil); err == nil {
 		t.Fatal("offset beyond CP should fail")
 	}
 }

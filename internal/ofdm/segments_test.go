@@ -30,10 +30,38 @@ func segmentRef(d *Demodulator, rx []complex128, symStart, cpOffset int) ([]comp
 	return out, nil
 }
 
-// TestSegmentsMatchesRepeatedSegment pins the batch sliding-DFT path to the
-// original one-FFT-per-window path across grids, strides and symbol
-// positions. The first window is bit-identical (same seed FFT); the slid
-// windows must agree to sliding-DFT drift tolerance.
+// allBins returns the full selection of an n-bin grid.
+func allBins(n int) []int {
+	sel := make([]int, n)
+	for k := range sel {
+		sel[k] = k
+	}
+	return sel
+}
+
+// usedBins returns the FFT bins of the 52 used 802.11 subcarriers on g.
+func usedBins(g Grid) []int {
+	var sel []int
+	for sc := -26; sc <= 26; sc++ {
+		if sc != 0 {
+			sel = append(sel, g.Bin(sc))
+		}
+	}
+	return sel
+}
+
+// interleaved returns a planar window as a complex vector.
+func interleaved(w dsp.Planar) []complex128 {
+	out := make([]complex128, w.Len())
+	dsp.Interleave(out, w)
+	return out
+}
+
+// TestSegmentsMatchesRepeatedSegment pins the batch sliding-DFT path, at
+// the full bin selection, to the one-FFT-per-window reference across
+// grids, strides and symbol positions. The first window is bit-identical
+// (same seed FFT); the slid windows must agree to sliding-DFT drift
+// tolerance.
 func TestSegmentsMatchesRepeatedSegment(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -53,9 +81,10 @@ func TestSegmentsMatchesRepeatedSegment(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var dst [][]complex128
+			all := allBins(tc.g.NFFT)
+			var dst []dsp.Planar
 			for _, symStart := range []int{0, tc.g.SymLen(), 2 * tc.g.SymLen()} {
-				dst, err = d.Segments(rx, symStart, offs, dst)
+				dst, err = d.Segments(rx, symStart, offs, all, dst)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -64,7 +93,7 @@ func TestSegmentsMatchesRepeatedSegment(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					diff := dsp.MaxAbsDiff(dst[i], want)
+					diff := dsp.MaxAbsDiff(interleaved(dst[i]), want)
 					if i == 0 && diff != 0 {
 						t.Fatalf("offset %d (seed window): diff %g, want bit-identical", off, diff)
 					}
@@ -81,20 +110,29 @@ func TestSegmentsValidation(t *testing.T) {
 	g := Native80211Grid()
 	d := MustDemodulator(g)
 	rx := testStream(1, 3*g.SymLen())
-	if _, err := d.Segments(rx, 0, nil, nil); err == nil {
-		t.Fatal("empty offsets accepted")
+	all := allBins(g.NFFT)
+	for _, tc := range []struct {
+		name    string
+		offsets []int
+		sel     []int
+		start   int
+	}{
+		{"empty offsets", nil, all, 0},
+		{"non-increasing offsets", []int{4, 4}, all, 0},
+		{"negative offset", []int{-1, 4}, all, 0},
+		{"offset beyond CP", []int{4, g.CP + 1}, all, 0},
+		{"window past the stream end", []int{0, g.CP}, all, len(rx) - g.NFFT},
+		{"empty selection with a slide", []int{0, g.CP}, nil, 0},
+		{"out-of-range bin", []int{0, g.CP}, []int{3, g.NFFT}, 0},
+		{"duplicate bin", []int{0, g.CP}, []int{3, 5, 3}, 0},
+	} {
+		if _, err := d.Segments(rx, tc.start, tc.offsets, tc.sel, nil); err == nil {
+			t.Fatalf("%s accepted", tc.name)
+		}
 	}
-	if _, err := d.Segments(rx, 0, []int{4, 4}, nil); err == nil {
-		t.Fatal("non-increasing offsets accepted")
-	}
-	if _, err := d.Segments(rx, 0, []int{-1, 4}, nil); err == nil {
-		t.Fatal("negative offset accepted")
-	}
-	if _, err := d.Segments(rx, 0, []int{4, g.CP + 1}, nil); err == nil {
-		t.Fatal("offset beyond CP accepted")
-	}
-	if _, err := d.Segments(rx, len(rx)-g.NFFT, []int{0, g.CP}, nil); err == nil {
-		t.Fatal("window past the stream end accepted")
+	// One offset needs no slide, so no selection either.
+	if _, err := d.Segments(rx, 0, []int{g.CP}, nil, nil); err != nil {
+		t.Fatalf("single offset without a selection: %v", err)
 	}
 }
 
@@ -147,25 +185,27 @@ func BenchmarkSegmentRepeatedFFT(b *testing.B) {
 }
 
 // BenchmarkSegmentsBatch is the sliding-DFT batch path for the same set of
-// windows, reusing the destination buffers.
+// windows at the full bin selection, reusing the destination buffers.
 func BenchmarkSegmentsBatch(b *testing.B) {
 	g, offs, rx := benchGridAndPlan(b)
 	d := MustDemodulator(g)
-	var dst [][]complex128
+	all := allBins(g.NFFT)
+	var dst []dsp.Planar
 	var err error
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, err = d.Segments(rx, g.SymLen(), offs, dst)
+		dst, err = d.Segments(rx, g.SymLen(), offs, all, dst)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// TestSegmentsOnMatchesSegments pins the sparse-bin batch against the full
-// batch at the selected bins (identical arithmetic → identical values),
-// and against direct per-window FFTs.
+// TestSegmentsOnMatchesSegments pins a sparse (used-subcarrier) selection
+// against the full selection at the selected bins (identical arithmetic →
+// identical values), checks that the seed window is complete and that
+// slid windows leave unselected bins untouched.
 func TestSegmentsOnMatchesSegments(t *testing.T) {
 	g := WideGrid(64, 16, 4, 64)
 	d1 := MustDemodulator(g)
@@ -175,35 +215,35 @@ func TestSegmentsOnMatchesSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sel []int
-	for sc := -26; sc <= 26; sc++ {
-		if sc != 0 {
-			sel = append(sel, g.Bin(sc))
+	sel := usedBins(g)
+	full, err := d1.Segments(rx, g.SymLen(), offs, allBins(g.NFFT), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse := make([]dsp.Planar, len(offs))
+	for i := range sparse {
+		sparse[i] = dsp.NewPlanar(g.NFFT)
+		for k := range sparse[i].Re {
+			sparse[i].Re[k] = 999 // sentinel: unselected bins must stay untouched
 		}
 	}
-	full, err := d1.Segments(rx, g.SymLen(), offs, nil)
-	if err != nil {
+	if sparse, err = d2.Segments(rx, g.SymLen(), offs, sel, sparse); err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := d2.SegmentsOn(rx, g.SymLen(), offs, sel, nil)
-	if err != nil {
-		t.Fatal(err)
+	inSel := make(map[int]bool, len(sel))
+	for _, k := range sel {
+		inSel[k] = true
 	}
 	for i := range offs {
-		for _, k := range sel {
-			if sparse[i][k] != full[i][k] {
-				t.Fatalf("window %d bin %d: sparse %v != full %v", i, k, sparse[i][k], full[i][k])
+		for k := 0; k < g.NFFT; k++ {
+			switch {
+			case i == 0 || inSel[k]:
+				if sparse[i].At(k) != full[i].At(k) {
+					t.Fatalf("window %d bin %d: sparse %v != full %v", i, k, sparse[i].At(k), full[i].At(k))
+				}
+			case sparse[i].Re[k] != 999:
+				t.Fatalf("window %d: unselected bin %d was written", i, k)
 			}
 		}
-	}
-	// Seed window must be complete even in sparse mode.
-	if dsp.MaxAbsDiff(sparse[0], full[0]) != 0 {
-		t.Fatal("sparse seed window is not complete")
-	}
-	if _, err := d2.SegmentsOn(rx, 0, offs, []int{-1}, nil); err == nil {
-		t.Fatal("negative bin selection accepted")
-	}
-	if _, err := d2.SegmentsOn(rx, 0, offs, nil, nil); err == nil {
-		t.Fatal("nil selection accepted")
 	}
 }

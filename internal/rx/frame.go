@@ -13,10 +13,11 @@ import (
 // observations for any OFDM symbol and any cyclic-prefix FFT segment.
 // It is the common substrate of every receiver variant in the repository.
 //
-// Multi-segment observation methods (ObserveSegments, ObservePreambleAll)
-// run on the demodulator's planar batch sliding-DFT path — split re/im
+// Every observation method runs on the demodulator's one planar batch
+// path, Demodulator.Segments at the used-subcarrier bins — split re/im
 // windows from the seed FFT to the last slide, interleaved back to
-// complex128 per value at the equalizer boundary — and return buffers
+// complex128 per value at the equalizer boundary. The multi-segment
+// methods (ObserveSegments, ObservePreambleAll) return buffers
 // owned by the Frame that are reused by the next call on the same Frame;
 // copy anything that must outlive the next observation. The same holds
 // for the decision and confidence slices StandardDecider returns: they
@@ -149,7 +150,7 @@ func (f *Frame) estimateChannel() error {
 	n := 0
 	for _, s := range starts {
 		var err error
-		f.segP, err = f.demod.SegmentsOnPlanar(f.samples, f.start+s, offsets, f.selBins, f.segP)
+		f.segP, err = f.demod.Segments(f.samples, f.start+s, offsets, f.selBins, f.segP)
 		if err != nil {
 			return fmt.Errorf("rx: channel estimation: %w", err)
 		}
@@ -268,7 +269,7 @@ func (f *Frame) ObserveSymbol(symIdx, cpOffset int) (Observation, error) {
 	symStart := f.DataSymbolStart(symIdx) // DataSymbolStart(-1) is the SIGNAL symbol
 	f.oneOff[0] = cpOffset                // validated by the demodulator
 	var err error
-	f.segP, err = f.demod.SegmentsPlanar(f.samples, symStart, f.oneOff[:], f.segP)
+	f.segP, err = f.demod.Segments(f.samples, symStart, f.oneOff[:], f.selBins, f.segP)
 	if err != nil {
 		return Observation{}, err
 	}
@@ -317,7 +318,7 @@ func (f *Frame) DataSubcarrierCount() int { return len(f.scs) }
 func (f *Frame) ObserveSegments(symIdx int, segments []int) ([]Observation, error) {
 	symStart := f.DataSymbolStart(symIdx)
 	var err error
-	f.segP, err = f.demod.SegmentsOnPlanar(f.samples, symStart, segments, f.selBins, f.segP)
+	f.segP, err = f.demod.Segments(f.samples, symStart, segments, f.selBins, f.segP)
 	if err != nil {
 		return nil, err
 	}
@@ -407,7 +408,7 @@ func (f *Frame) ObservePreambleAll(segments []int) ([][2][]complex128, error) {
 	starts := ofdm.LTFSymbolStarts(f.grid)
 	for s, st := range starts {
 		var err error
-		f.segP, err = f.demod.SegmentsOnPlanar(f.samples, f.start+st, segments, f.selBins, f.segP)
+		f.segP, err = f.demod.Segments(f.samples, f.start+st, segments, f.selBins, f.segP)
 		if err != nil {
 			return nil, err
 		}
@@ -446,24 +447,4 @@ func (f *Frame) NoiseEstimate() (float64, error) {
 		return 0, fmt.Errorf("rx: no observations for noise estimate")
 	}
 	return sum / float64(n), nil
-}
-
-// SubcarrierPower returns the received power spectrum averaged over count
-// standard-window symbols starting at symbol index first (useful for the
-// Fig. 4a interference-spectrum analyses): the mean |Y[bin]|² per bin.
-func (f *Frame) SubcarrierPower(first, count int) ([]float64, error) {
-	out := make([]float64, f.grid.NFFT)
-	for k := first; k < first+count; k++ {
-		bins, err := f.demod.Standard(f.samples, f.DataSymbolStart(k))
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range bins {
-			out[i] += real(v)*real(v) + imag(v)*imag(v)
-		}
-	}
-	for i := range out {
-		out[i] /= float64(count)
-	}
-	return out, nil
 }

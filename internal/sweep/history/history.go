@@ -294,17 +294,6 @@ func (ix *Index) Experiments() []ExperimentSummary {
 	return out
 }
 
-// Lookup returns the recorded sweep for a fingerprint.
-func (ix *Index) Lookup(fp string) (Sweep, bool) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	s, ok := ix.sweeps[fp]
-	if !ok {
-		return Sweep{}, false
-	}
-	return *s, true
-}
-
 // ErrUnknownFingerprint reports a fingerprint the index has never seen.
 var ErrUnknownFingerprint = errors.New("history: unknown sweep fingerprint")
 

@@ -274,9 +274,6 @@ func (s *Store) Bytes() int64 {
 	return s.total
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Put durably appends recs as one new segment, skipping keys already
 // present (duplicate Puts are no-ops). The segment is written whole to a
 // temp file, fsynced, renamed into place, and the directory fsynced —

@@ -244,7 +244,3 @@ func assembleSymbolInto(out, bins []complex128, mod *ofdm.Modulator, cons *modem
 	}
 	mod.SymbolFromBinsInto(out, bins, gain)
 }
-
-// SymbolBitsToSubcarriers returns, for a constellation, the subcarrier order
-// used by assembleSymbol so receivers can invert the mapping.
-func SymbolBitsToSubcarriers() []int { return ofdm.DataSubcarriers() }
