@@ -39,17 +39,6 @@ func allBins(n int) []int {
 	return sel
 }
 
-// usedBins returns the FFT bins of the 52 used 802.11 subcarriers on g.
-func usedBins(g Grid) []int {
-	var sel []int
-	for sc := -26; sc <= 26; sc++ {
-		if sc != 0 {
-			sel = append(sel, g.Bin(sc))
-		}
-	}
-	return sel
-}
-
 // interleaved returns a planar window as a complex vector.
 func interleaved(w dsp.Planar) []complex128 {
 	out := make([]complex128, w.Len())
@@ -215,7 +204,12 @@ func TestSegmentsOnMatchesSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := usedBins(g)
+	var sel []int
+	for sc := -26; sc <= 26; sc++ {
+		if sc != 0 {
+			sel = append(sel, g.Bin(sc))
+		}
+	}
 	full, err := d1.Segments(rx, g.SymLen(), offs, allBins(g.NFFT), nil)
 	if err != nil {
 		t.Fatal(err)
