@@ -36,12 +36,12 @@ test-purego:
 # Race-detector pass over the concurrent paths: the sweep engine and the
 # distributed coordinator/worker tier (and the packages whose shared
 # caches they exercise), the shared job event log and SSE writer that
-# serve concurrent subscribers in both tiers (internal/api and the
-# cprecycle-bench HTTP surface), the pooled hard and soft decode
-# scratch in rx, the dsp
-# kernel dispatch (shared SlideTab/FFT-plan caches + the ForceScalar
-# toggle), the Viterbi decoder's pooled survivor, int8 and float64
-# scratch that concurrent packet decodes share, the shared constellations
+# serve concurrent job-stream subscribers in serve and coordinator mode
+# (internal/api and the cprecycle-bench HTTP surface), the pooled hard
+# and soft decode scratch in rx, the dsp kernel dispatch (shared
+# SlideTab/FFT-plan caches + the ForceScalar toggle), the Viterbi
+# decoder's pooled survivor, int8 and float64 scratch that concurrent
+# packet decodes share, the shared constellations
 # built on first use, and the pooled packet state that concurrent
 # RunPacket calls share through internal/experiments: the transmit
 # scratch (composites, interferer streams, modulators) of

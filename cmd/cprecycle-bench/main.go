@@ -14,8 +14,8 @@
 // of the invocation: much faster and deterministic per seed, but it
 // replaces the per-tile payload draws with pool picks, so pooled tables
 // are statistically equivalent rather than packet-identical to the
-// default path. Analysis experiments (table1, fig4*, fig6*, fig13) always
-// run directly.
+// default path. Analysis experiments (table1, fig4*, fig6*, fig13) run
+// in-process without the engine.
 //
 // Usage:
 //
@@ -28,6 +28,7 @@
 //	cprecycle-bench -submit -join http://host:8080 -experiment fig8
 //	cprecycle-bench -fleet -join http://host:8080            # list workers
 //	cprecycle-bench -drain w1 -join http://host:8080         # graceful scale-down
+//	cprecycle-bench -revoke w1 -join http://host:8080        # abrupt cut-off
 //	cprecycle-bench -list
 //
 // # The result store
@@ -79,11 +80,11 @@
 // but executes nothing itself, handing point-range leases to -worker
 // processes instead. Both modes serve the same job shape — engine and
 // coordinator jobs share one event log (sweep.JobLog) — through one SSE
-// writer (api.ServeSSE, also behind the fleet stream), and every client
-// mode here (-submit, -fleet, -drain, -revoke, -worker) speaks through
-// one /v1 client (api.Client). The complete /v1 surface (jobs + history + worker
-// tier + observability — the history and dist endpoints appear only on
-// servers run with -store / -coordinator respectively):
+// writer (api.ServeSSE), and every client mode here (-submit, -fleet,
+// -drain, -revoke, -worker) speaks through one /v1 client (api.Client).
+// The complete /v1 surface (jobs + history + worker tier +
+// observability — the history and dist endpoints appear only on servers
+// run with -store / -coordinator respectively):
 //
 //	POST   /v1/jobs        submit a sweep.Spec (JSON body) → 202 {"id":"j1",…}
 //	GET    /v1/jobs        jobs' progress, newest-submitted first;
@@ -132,7 +133,6 @@
 //	POST   /v1/dist/result | /heartbeat | /deregister   worker data plane
 //	GET    /v1/dist/workers              registry, newest first, paginated
 //	POST   /v1/dist/workers/{id}/drain | /revoke        fleet admin
-//	GET    /v1/dist/events               fleet lifecycle SSE stream
 //
 //	GET    /v1/status      one-shot JSON dashboard: mode, uptime, runtime
 //	                       stats, job summary, fleet stats (coordinator)
@@ -211,32 +211,19 @@
 //
 // Either way the worker completes its in-flight lease (the result is
 // accepted), takes no new ones, and deregisters — nothing waits for a
-// lease TTL. -mem-budget N (MiB) makes a worker police itself: it
-// samples its own heap via runtime/metrics and triggers the same
-// graceful drain when live heap exceeds the budget, trading capacity
-// for not meeting the kernel's OOM killer. A slow worker whose lease
-// was re-issued elsewhere may still deliver its result late; the
-// coordinator accepts the first completion of each point, counts the
-// rest as dedupes, and cancels redundant in-flight leases whose points
-// have all completed elsewhere. -revoke w1 is the abrupt variant for a
-// misbehaving worker:
+// lease TTL. A slow worker whose lease was re-issued elsewhere may
+// still deliver its result late; the coordinator accepts the first
+// completion of each point, counts the rest as dedupes, and cancels
+// redundant in-flight leases whose points have all completed
+// elsewhere. -revoke w1 is the abrupt variant for a misbehaving worker:
 // its token dies immediately, its leases re-queue, and any late result
-// it sends is refused. GET /v1/dist/events (join-secret auth) streams
-// fleet-wide lifecycle events (worker join/drain/revoke/leave, lease
-// grant/expiry, job submit/done) as SSE with Last-Event-ID resume, for
-// dashboards.
+// it sends is refused.
 //
 // Nothing drains a wedged worker automatically. A worker that keeps
 // heartbeating while its lease makes no point progress (deadlocked,
 // SIGSTOPped) never trips the lease TTL, but -fleet shows it: its prog=
 // age (seconds since its freshest lease last advanced a packet) grows
 // while idle= stays small. Drain or revoke it by hand.
-//
-// -cpu-budget N (cores) is the CPU twin of -mem-budget: the worker
-// samples its own process CPU time (/proc/self/stat on Linux, the Go
-// runtime's scheduler accounting elsewhere) and gracefully self-drains
-// when its sustained rate exceeds the budget — capacity handed back
-// before the kernel or a cgroup throttle does it un-gracefully.
 //
 // # Observability
 //
@@ -249,12 +236,12 @@
 // counters cpr_sweep_jobs_total{state=…}), cpr_dist_* for the
 // coordinator's fleet view (workers by state, in-flight leases, queue
 // depth, the adaptive lease estimate, expiry/re-queue/revocation
-// counters, SSE subscriber gauges), cpr_store_* for the result store
-// (hits, misses, dedupes, late_accepts, corrupt_records and the
-// evicted_segments/records/bytes GC counters), cpr_history_* for the
-// results-history index (runs recorded, queries, table re-assemblies,
-// diffs) and cpr_dist_worker_* for a
-// worker's own lease/poll/retry/re-registration counters. Workers have
+// counters, the stalest lease's progress age), cpr_store_* for the
+// result store (hits, misses, dedupes, late_accepts, corrupt_records
+// and the evicted_segments/records/bytes GC counters), cpr_history_*
+// for the results-history index (runs recorded, queries, table
+// re-assemblies, diffs) and cpr_dist_worker_* for a worker's own
+// lease/poll/retry/re-registration counters. Workers have
 // no API address of their own, so -obs ADDR starts a metrics side
 // server on the worker:
 //
@@ -297,30 +284,18 @@ import (
 // -log-json; the default keeps package-main helpers usable from tests.
 var lg = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
-type runner func(experiments.Options) (*experiments.Table, error)
-
-// registry maps every experiment id to its direct runner; the sweep
-// experiments among them (experiments.IsSweepExperiment) are routed
-// through the engine unless -direct is set.
-func registry() map[string]runner {
-	return map[string]runner{
-		"table1":            func(experiments.Options) (*experiments.Table, error) { return experiments.Table1(), nil },
-		"fig4a":             func(o experiments.Options) (*experiments.Table, error) { return experiments.Fig4a(o.Seed) },
-		"fig4b":             func(o experiments.Options) (*experiments.Table, error) { return experiments.Fig4b(o.Seed) },
-		"fig4c":             func(o experiments.Options) (*experiments.Table, error) { return experiments.Fig4c(o.Seed) },
-		"fig5":              experiments.Fig5,
-		"fig6a":             func(experiments.Options) (*experiments.Table, error) { return experiments.Fig6a() },
-		"fig6b":             func(o experiments.Options) (*experiments.Table, error) { return experiments.Fig6b(o.Seed) },
-		"fig8":              experiments.Fig8,
-		"fig9":              experiments.Fig9,
-		"fig10":             experiments.Fig10,
-		"fig11":             experiments.Fig11,
-		"fig12":             experiments.Fig12,
-		"fig13":             func(o experiments.Options) (*experiments.Table, error) { return experiments.Fig13(o.Seed, 15) },
-		"fig14":             experiments.Fig14,
-		"ablation-decision": experiments.AblationDecision,
-		"delay-spread":      experiments.DelaySpreadSweep,
-		"ablation-soft":     experiments.AblationSoftDecoding,
+// analyses maps each analysis experiment id (table1, fig4*, fig6*,
+// fig13) to its runner. The sweep experiments
+// (experiments.SweepExperiments) run on the engine instead.
+func analyses() map[string]func(seed int64) (*experiments.Table, error) {
+	return map[string]func(int64) (*experiments.Table, error){
+		"table1": func(int64) (*experiments.Table, error) { return experiments.Table1(), nil },
+		"fig4a":  experiments.Fig4a,
+		"fig4b":  experiments.Fig4b,
+		"fig4c":  experiments.Fig4c,
+		"fig6a":  func(int64) (*experiments.Table, error) { return experiments.Fig6a() },
+		"fig6b":  experiments.Fig6b,
+		"fig13":  func(seed int64) (*experiments.Table, error) { return experiments.Fig13(seed, 15) },
 	}
 }
 
@@ -332,7 +307,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "base RNG seed")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 
-		direct   = flag.Bool("direct", false, "run sweeps on the sequential path without the engine or waveform pool")
 		pool     = flag.Bool("pool", false, "share pre-encoded interferer waveforms across sweep points (much faster, deterministic per seed, statistically equivalent — but not packet-identical to the default tx draws)")
 		poolSize = flag.Int("pool-size", 0, "pre-encoded waveforms per (grid, MCS); 0 = default")
 		workers  = flag.Int("workers", 0, "engine worker goroutines; 0 = GOMAXPROCS")
@@ -346,8 +320,6 @@ func main() {
 		submitFlg = flag.Bool("submit", false, "submit the selected sweep experiment to the -join server, stream per-point progress and print the table")
 		join      = flag.String("join", "", "server base URL (e.g. http://host:8080) for -worker, -submit and the fleet admin flags")
 		token     = flag.String("token", "", "fleet join secret: enforced by -serve/-coordinator when set, presented by -worker/-submit and the fleet admin flags")
-		memBudget = flag.Int64("mem-budget", 0, "worker heap budget in MiB: the worker samples runtime/metrics heap use and gracefully self-drains when it exceeds the budget; 0 = unlimited")
-		cpuBudget = flag.Float64("cpu-budget", 0, "worker CPU budget in cores: the worker samples its own process CPU time (/proc/self/stat, falling back to runtime metrics) and gracefully self-drains when the rate stays over budget; 0 = unlimited")
 		wkrName   = flag.String("worker-name", "", "worker: self-reported fleet name (default host:pid)")
 		longPoll  = flag.Duration("long-poll", 0, "coordinator: park lease requests up to this long waiting for work; 0 = default (30s)")
 		leasePts  = flag.Int("lease-points", 0, "pin every worker lease to this many plan points; 0 = adaptive sizing toward -lease-target of wall-clock work")
@@ -376,8 +348,8 @@ func main() {
 		lg = slog.New(slog.NewTextHandler(os.Stderr, hopts))
 	}
 
-	reg := registry()
-	names := make([]string, 0, len(reg))
+	reg := analyses()
+	names := experiments.SweepExperiments()
 	for n := range reg {
 		names = append(names, n)
 	}
@@ -432,8 +404,6 @@ func main() {
 			Token:       *token,
 			ID:          *wkrName,
 			Engine:      sweep.Config{Workers: *workers, ShardPackets: *shardPk},
-			MemBudget:   *memBudget << 20,
-			CPUBudget:   *cpuBudget,
 			Log:         lg,
 		})
 		if err != nil {
@@ -511,10 +481,6 @@ func main() {
 	var st *store.Store
 	var hist *history.Index
 	if *storeDir != "" {
-		if *direct {
-			fmt.Fprintln(os.Stderr, "-store requires the engine path; drop -direct")
-			os.Exit(1)
-		}
 		var err error
 		if st, err = openStore(*storeDir, *storeMax); err == nil {
 			hist, err = openHistory(*storeDir)
@@ -536,8 +502,6 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{Packets: *packets, PSDUBytes: *bytes, Seed: *seed}
-
 	// One engine (and waveform pool) shared by every sweep of the
 	// invocation; created lazily so analysis-only runs skip it.
 	var eng *sweep.Engine
@@ -548,14 +512,14 @@ func main() {
 	}()
 
 	run := func(n string) error {
-		r, ok := reg[n]
-		if !ok {
+		r, analysis := reg[n]
+		if !analysis && !experiments.IsSweepExperiment(n) {
 			return fmt.Errorf("unknown experiment %q (use -list)", n)
 		}
 		start := time.Now()
 		var tb *experiments.Table
 		var err error
-		if experiments.IsSweepExperiment(n) && !*direct {
+		if !analysis {
 			if eng == nil {
 				eng = sweep.New(engCfg)
 			}
@@ -578,7 +542,7 @@ func main() {
 				}
 			}
 		} else {
-			tb, err = r(opts)
+			tb, err = r(*seed)
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", n, err)
@@ -588,13 +552,6 @@ func main() {
 		return nil
 	}
 
-	// Flag-conflict guards apply to 'all' and single experiments alike.
-	// (-store works with 'all': records are content-addressed, so every
-	// sweep of the invocation shares the one directory safely.)
-	if *pool && *direct {
-		fmt.Fprintln(os.Stderr, "-pool requires the engine path; drop -direct")
-		os.Exit(1)
-	}
 	if *name == "all" {
 		for _, n := range names {
 			if err := run(n); err != nil {

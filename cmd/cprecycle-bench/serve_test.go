@@ -388,9 +388,9 @@ func (w noFlushWriter) Header() http.Header         { return w.rec.Header() }
 func (w noFlushWriter) Write(p []byte) (int, error) { return w.rec.Write(p) }
 func (w noFlushWriter) WriteHeader(code int)        { w.rec.WriteHeader(code) }
 
-// TestSSENoFlusherAnswersEnvelope pins that both event streams — a job's
-// points and the coordinator's fleet events — answer a connection that
-// cannot stream with the /v1 JSON error envelope, not plain text.
+// TestSSENoFlusherAnswersEnvelope pins that the coordinator's job event
+// stream answers a connection that cannot stream with the /v1 JSON error
+// envelope, not plain text.
 func TestSSENoFlusherAnswersEnvelope(t *testing.T) {
 	c, err := dist.New(dist.Config{})
 	if err != nil {
@@ -404,16 +404,14 @@ func TestSSENoFlusherAnswersEnvelope(t *testing.T) {
 	root := http.NewServeMux()
 	root.Handle("/v1/dist/", c.Handler())
 	root.Handle("/", apiMux(coordBackend{c: c}, nil))
-	for _, path := range []string{"/v1/jobs/" + job.ID + "/events", "/v1/dist/events"} {
-		rec := httptest.NewRecorder()
-		root.ServeHTTP(noFlushWriter{rec}, httptest.NewRequest(http.MethodGet, path, nil))
-		var body api.ErrorBody
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-			t.Fatalf("%s: body %q is not the error envelope: %v", path, rec.Body.String(), err)
-		}
-		if rec.Code != http.StatusInternalServerError || rec.Header().Get("Content-Type") != "application/json" ||
-			body.Error.Code != "internal" || body.Error.Message != "streaming unsupported by this connection" {
-			t.Errorf("%s: HTTP %d %q %+v", path, rec.Code, rec.Header().Get("Content-Type"), body)
-		}
+	rec := httptest.NewRecorder()
+	root.ServeHTTP(noFlushWriter{rec}, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+job.ID+"/events", nil))
+	var body api.ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("body %q is not the error envelope: %v", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || rec.Header().Get("Content-Type") != "application/json" ||
+		body.Error.Code != "internal" || body.Error.Message != "streaming unsupported by this connection" {
+		t.Errorf("HTTP %d %q %+v", rec.Code, rec.Header().Get("Content-Type"), body)
 	}
 }

@@ -95,8 +95,8 @@
 // its byte-identical table without re-running a packet, and two sweeps
 // diffed point-by-point from stored tallies alone. The HTTP plumbing
 // every /v1 tier shares — the {"error":{"code","message"}} envelope,
-// bearer auth, limit/cursor pagination, the one SSE writer and reader
-// behind both event streams, and the one /v1 client the CLI and the
+// bearer auth, limit/cursor pagination, the SSE writer and reader
+// behind the job event stream, and the one /v1 client the CLI and the
 // dist worker speak through — lives in internal/api.
 //
 // The service scales across processes and machines through
@@ -121,15 +121,11 @@
 // accepted exactly once and the redundant re-run in flight is
 // cancelled, while repeated or cross-job identical sweeps complete from
 // the store without touching the fleet. Workers leave the fleet two
-// ways: graceful drain
-// (admin endpoint or SIGTERM, piggy-backed on heartbeat and lease
-// responses — the worker finishes its in-flight lease, deregisters, and
-// nothing is re-queued via TTL expiry) and revocation (the token dies
-// immediately, live leases re-queue, late results are refused). Workers
-// also police their own resource budgets, self-draining when live heap
-// exceeds -mem-budget or sustained process CPU (sampled from
-// /proc/self/stat, falling back to the runtime's scheduler accounting)
-// exceeds -cpu-budget. The determinism contract — coordinator + N
+// ways: graceful drain (admin endpoint or SIGTERM, piggy-backed on
+// heartbeat and lease responses — the worker finishes its in-flight
+// lease, deregisters, and nothing is re-queued via TTL expiry) and
+// revocation (the token dies immediately, live leases re-queue, late
+// results are refused). The determinism contract — coordinator + N
 // workers renders the byte-identical table of one direct engine,
 // including under injected transport chaos, mid-sweep worker death,
 // drain and revocation — is pinned by the dist package tests and the
@@ -142,11 +138,11 @@
 // cmd/cprecycle-bench command routes the sweep figures through the
 // engine and serves both tiers over HTTP (-serve, -coordinator /
 // -worker / -submit, fleet admin via -fleet / -drain / -revoke), with
-// per-point SSE streaming on /v1/jobs/{id}/events and a fleet-wide
-// lifecycle stream on /v1/dist/events (events carry their seq
-// as the SSE id; reconnecting consumers present Last-Event-ID and resume
-// mid-stream instead of replaying every event); see that package's
-// comment for the spec format, endpoints, protocol and quickstart.
+// per-point SSE streaming on /v1/jobs/{id}/events (point events carry
+// their seq as the SSE id; reconnecting consumers present Last-Event-ID
+// and resume mid-stream instead of replaying every point); see that
+// package's comment for the spec format, endpoints, protocol and
+// quickstart.
 //
 // The whole service is observable without perturbing it: internal/obs
 // is a dependency-free metrics core — counters, gauges and fixed-bucket
@@ -158,9 +154,8 @@
 // cpr_sweep_packet_seconds) plus engine job/point counters; the
 // coordinator and worker render instance-scoped fleet series (cpr_dist_*:
 // workers by state, in-flight leases, queue depth, the adaptive lease
-// estimate, oldest lease-progress age, expiry/re-queue/revocation and
-// SSE-drop counters). Every
-// serving mode exposes GET /metrics and authenticated /debug/pprof
+// estimate, oldest lease-progress age, expiry/re-queue/revocation
+// counters). Every serving mode exposes GET /metrics and authenticated /debug/pprof
 // handlers, plus GET /v1/status — a one-call JSON dashboard that
 // `cprecycle-bench -fleet` renders. Logging is structured (log/slog)
 // with component/job/worker/lease attributes (-log-level, -log-json).

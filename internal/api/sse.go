@@ -18,12 +18,12 @@ type Frame struct {
 	Data  any
 }
 
-// ServeSSE serves one /v1 event stream (the job and the fleet streams
-// both) as text/event-stream. It reads the standard Last-Event-ID resume hint (a malformed id means
-// full replay), calls subscribe with it (-1 when absent), writes the
+// ServeSSE serves a /v1 job event stream as text/event-stream. It reads
+// the standard Last-Event-ID resume hint (a malformed id means full
+// replay), calls subscribe with it (-1 when absent), writes the
 // replayed events and then the live ones, each framed by frame and
-// flushed at once. When the live channel closes, final (if non-nil)
-// supplies one last frame. The stream stops early when the client goes
+// flushed at once. When the live channel closes, final supplies one
+// last, terminal frame. The stream stops early when the client goes
 // away or a write or flush fails. A ResponseWriter that cannot stream is
 // answered with the JSON error envelope. The returned error is a frame
 // that would not encode; the status line is out by then, so callers can
@@ -86,9 +86,6 @@ func ServeSSE[E any](w http.ResponseWriter, r *http.Request,
 			return nil
 		case ev, open := <-live:
 			if !open {
-				if final == nil {
-					return nil
-				}
 				_, err := send(final())
 				return err
 			}

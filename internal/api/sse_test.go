@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/sweep"
-	"repro/internal/sweep/dist"
 )
 
 // feed is a canned subscription: past replays, then live delivers its
@@ -38,8 +37,9 @@ func pointFrame(ev sweep.PointEvent) api.Frame {
 	return api.Frame{ID: strconv.Itoa(ev.Seq), Event: "point", Data: ev}
 }
 
-func fleetFrame(ev dist.FleetEvent) api.Frame {
-	return api.Frame{ID: strconv.Itoa(ev.Seq), Event: ev.Type, Data: ev}
+// doneFrame is a terminal frame for tests that do not inspect it.
+func doneFrame() api.Frame {
+	return api.Frame{Event: "done", Data: map[string]string{"state": "done"}}
 }
 
 // TestServeSSEPointStreamGolden pins the job stream's bytes: replayed
@@ -74,35 +74,17 @@ func TestServeSSEPointStreamGolden(t *testing.T) {
 	}
 }
 
-// TestServeSSEFleetStreamGolden pins the fleet stream's bytes: the
-// event name is the fleet event type, and no frame follows the close.
-func TestServeSSEFleetStreamGolden(t *testing.T) {
-	f := &feed[dist.FleetEvent]{
-		past: []dist.FleetEvent{{Seq: 12, Type: "lease-grant", Worker: "w2", Job: "j1", Lease: "j1-l3", Points: 4}},
-		live: []dist.FleetEvent{{Seq: 13, Type: "job-done", Job: "j1", Points: 6}},
-	}
-	rec := httptest.NewRecorder()
-	if err := api.ServeSSE(rec, httptest.NewRequest(http.MethodGet, "/v1/dist/events", nil), f.subscribe, fleetFrame, nil); err != nil {
-		t.Fatal(err)
-	}
-	want := "id: 12\nevent: lease-grant\ndata: {\"seq\":12,\"type\":\"lease-grant\",\"worker\":\"w2\",\"job\":\"j1\",\"lease\":\"j1-l3\",\"points\":4}\n\n" +
-		"id: 13\nevent: job-done\ndata: {\"seq\":13,\"type\":\"job-done\",\"job\":\"j1\",\"points\":6}\n\n"
-	if got := rec.Body.String(); got != want {
-		t.Errorf("body:\n%q\nwant\n%q", got, want)
-	}
-}
-
 // TestServeSSELastEventID pins the resume hint: a numeric Last-Event-ID
 // is the subscription's resume point, and an absent or malformed one
 // means a full replay (-1).
 func TestServeSSELastEventID(t *testing.T) {
 	for header, want := range map[string]int{"": -1, "3": 3, "0": 0, "not-a-number": -1} {
-		f := &feed[dist.FleetEvent]{}
-		req := httptest.NewRequest(http.MethodGet, "/v1/dist/events", nil)
+		f := &feed[sweep.PointEvent]{}
+		req := httptest.NewRequest(http.MethodGet, "/v1/jobs/j1/events", nil)
 		if header != "" {
 			req.Header.Set("Last-Event-ID", header)
 		}
-		if err := api.ServeSSE(httptest.NewRecorder(), req, f.subscribe, fleetFrame, nil); err != nil {
+		if err := api.ServeSSE(httptest.NewRecorder(), req, f.subscribe, pointFrame, doneFrame); err != nil {
 			t.Fatal(err)
 		}
 		if f.after != want {
@@ -153,9 +135,9 @@ func (w noFlushWriter) WriteHeader(code int)        { w.rec.WriteHeader(code) }
 // cannot stream gets the /v1 JSON error envelope, not plain text, and
 // that nothing is subscribed.
 func TestServeSSENoFlusherAnswersEnvelope(t *testing.T) {
-	f := &feed[dist.FleetEvent]{after: -2}
+	f := &feed[sweep.PointEvent]{after: -2}
 	rec := httptest.NewRecorder()
-	if err := api.ServeSSE(noFlushWriter{rec}, httptest.NewRequest(http.MethodGet, "/", nil), f.subscribe, fleetFrame, nil); err != nil {
+	if err := api.ServeSSE(noFlushWriter{rec}, httptest.NewRequest(http.MethodGet, "/", nil), f.subscribe, pointFrame, doneFrame); err != nil {
 		t.Fatal(err)
 	}
 	want := "{\n  \"error\": {\n    \"code\": \"internal\",\n    \"message\": \"streaming unsupported by this connection\"\n  }\n}\n"
@@ -170,13 +152,12 @@ func TestServeSSENoFlusherAnswersEnvelope(t *testing.T) {
 // TestSSERoundTrip reads the writer's output back through ReadSSE,
 // with keep-alive comment lines interleaved, and gets every frame back.
 func TestSSERoundTrip(t *testing.T) {
-	f := &feed[dist.FleetEvent]{
-		past: []dist.FleetEvent{{Seq: 0, Type: "worker-join", Worker: "w1", Detail: "host:1"}},
-		live: []dist.FleetEvent{{Seq: 1, Type: "lease-grant", Worker: "w1", Job: "j1", Lease: "j1-l1", Points: 2}},
+	f := &feed[sweep.PointEvent]{
+		past: []sweep.PointEvent{{Seq: 0, Point: 1, N: 2, OK: []int{1}, DonePoints: 1, Points: 2}},
+		live: []sweep.PointEvent{{Seq: 1, Point: 0, N: 2, OK: []int{2}, DonePoints: 2, Points: 2}},
 	}
 	rec := httptest.NewRecorder()
-	final := func() api.Frame { return api.Frame{Event: "done", Data: map[string]string{"state": "done"}} }
-	if err := api.ServeSSE(rec, httptest.NewRequest(http.MethodGet, "/", nil), f.subscribe, fleetFrame, final); err != nil {
+	if err := api.ServeSSE(rec, httptest.NewRequest(http.MethodGet, "/", nil), f.subscribe, pointFrame, doneFrame); err != nil {
 		t.Fatal(err)
 	}
 	body := ": hello\n" + strings.ReplaceAll(rec.Body.String(), "\n\n", "\n: keep-alive\n\n")
@@ -185,8 +166,8 @@ func TestSSERoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []api.Event{
-		{ID: "0", Event: "worker-join", Data: `{"seq":0,"type":"worker-join","worker":"w1","detail":"host:1"}`},
-		{ID: "1", Event: "lease-grant", Data: `{"seq":1,"type":"lease-grant","worker":"w1","job":"j1","lease":"j1-l1","points":2}`},
+		{ID: "0", Event: "point", Data: `{"seq":0,"point":1,"n":2,"ok":[1],"done_points":1,"points":2}`},
+		{ID: "1", Event: "point", Data: `{"seq":1,"point":0,"n":2,"ok":[2],"done_points":2,"points":2}`},
 		{Event: "done", Data: `{"state":"done"}`},
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -123,6 +123,19 @@ func (o *OracleDecider) DecideSymbol(f *rx.Frame, symIdx int, cons *modem.Conste
 	return out, nil
 }
 
+// allBins selects every bin of an n-point window: Fig. 4 plots the whole
+// band.
+func allBins(n int) []int {
+	all := make([]int, n)
+	for k := range all {
+		all[k] = k
+	}
+	return all
+}
+
+// binPower is the power of window w at bin k.
+func binPower(w dsp.Planar, k int) float64 { return w.Re[k]*w.Re[k] + w.Im[k]*w.Im[k] }
+
 // SegmentInterferencePower measures, for the OFDM symbol starting at
 // symStart in an interference-only stream, the interference power at every
 // (segment, bin): the quantity plotted in Fig. 4a/4b. Powers are in linear
@@ -133,11 +146,7 @@ func SegmentInterferencePower(interference []complex128, g ofdm.Grid, symStart i
 	if err != nil {
 		return nil, err
 	}
-	all := make([]int, g.NFFT) // every bin: Fig. 4 plots the whole band
-	for k := range all {
-		all[k] = k
-	}
-	segBins, err := d.Segments(interference, symStart, segments, all, nil)
+	segBins, err := d.Segments(interference, symStart, segments, allBins(g.NFFT), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +154,7 @@ func SegmentInterferencePower(interference []complex128, g ofdm.Grid, symStart i
 	for j, w := range segBins {
 		row := make([]float64, w.Len())
 		for k := range row {
-			row[k] = w.Re[k]*w.Re[k] + w.Im[k]*w.Im[k]
+			row[k] = binPower(w, k)
 		}
 		out[j] = row
 	}
@@ -157,23 +166,27 @@ func SegmentInterferencePower(interference []complex128, g ofdm.Grid, symStart i
 // standard window's interference power, averaged over count symbols —
 // the two curves of Fig. 4a.
 func OracleSpectrum(interference []complex128, g ofdm.Grid, firstSymStart, count int, segments []int) (oracle, standard []float64, err error) {
+	d, err := ofdm.NewDemodulator(g)
+	if err != nil {
+		return nil, nil, err
+	}
+	all := allBins(g.NFFT)
+	var win []dsp.Planar // one window set, reused by every symbol
 	oracle = make([]float64, g.NFFT)
 	standard = make([]float64, g.NFFT)
 	for s := 0; s < count; s++ {
-		start := firstSymStart + s*g.SymLen()
-		pw, err := SegmentInterferencePower(interference, g, start, segments)
-		if err != nil {
+		if win, err = d.Segments(interference, firstSymStart+s*g.SymLen(), segments, all, win); err != nil {
 			return nil, nil, err
 		}
 		for bin := 0; bin < g.NFFT; bin++ {
 			minP := math.Inf(1)
-			for j := range segments {
-				if pw[j][bin] < minP {
-					minP = pw[j][bin]
+			for _, w := range win {
+				if p := binPower(w, bin); p < minP {
+					minP = p
 				}
 			}
 			oracle[bin] += minP
-			standard[bin] += pw[len(segments)-1][bin] // last segment = standard window
+			standard[bin] += binPower(win[len(win)-1], bin) // last segment = standard window
 		}
 	}
 	for bin := 0; bin < g.NFFT; bin++ {

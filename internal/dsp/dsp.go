@@ -196,9 +196,6 @@ func MustPlanFor(n int) *FFTPlan {
 	return p
 }
 
-// Size returns the transform length the plan was built for.
-func (p *FFTPlan) Size() int { return p.n }
-
 func (p *FFTPlan) transform(x []complex128, tw []complex128) {
 	n := p.n
 	for i, r := range p.rev {

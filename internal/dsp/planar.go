@@ -28,12 +28,6 @@ func (p Planar) Len() int { return len(p.Re) }
 // At returns element i as a complex128.
 func (p Planar) At(i int) complex128 { return complex(p.Re[i], p.Im[i]) }
 
-// Set stores v at element i.
-func (p Planar) Set(i int, v complex128) {
-	p.Re[i] = real(v)
-	p.Im[i] = imag(v)
-}
-
 // Deinterleave splits src into dst's planes. Lengths must match. The
 // conversion is exact (a bit-copy of each component).
 func Deinterleave(dst Planar, src []complex128) {
@@ -57,15 +51,6 @@ func Interleave(dst []complex128, src Planar) {
 	for i := range dst {
 		dst[i] = complex(re[i], im[i])
 	}
-}
-
-// CopyPlanar copies src into dst (lengths must match).
-func CopyPlanar(dst, src Planar) {
-	if dst.Len() != src.Len() {
-		panic(fmt.Sprintf("dsp: CopyPlanar dst length %d, src length %d", dst.Len(), src.Len()))
-	}
-	copy(dst.Re, src.Re)
-	copy(dst.Im, src.Im)
 }
 
 // Scale multiplies p in place by the real factor g. Values match the

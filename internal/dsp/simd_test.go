@@ -122,21 +122,18 @@ func TestSIMDSlideRotatedTabMatchesScalar(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					bins := planarOf(randSignal(r, n))
+					binsC := randSignal(r, n)
+					bins := planarOf(binsC)
 					diffs := planarOf(randSignal(r, m))
 					// Distinct dst/src.
-					dstSIMD, dstScalar := NewPlanar(n), NewPlanar(n)
-					base := planarOf(randSignal(r, n))
-					CopyPlanar(dstSIMD, base)
-					CopyPlanar(dstScalar, base)
+					base := randSignal(r, n)
+					dstSIMD, dstScalar := planarOf(base), planarOf(base)
 					s.SlideRotatedTab(dstSIMD, bins, diffs, tab)
 					forceScalarDuring(func() { s.SlideRotatedTab(dstScalar, bins, diffs, tab) })
 					ctx := "tab/" + sh.name + "/n=" + strconv.Itoa(n) + "/m=" + strconv.Itoa(m)
 					requirePlanarBitsEqual(t, ctx, dstSIMD, dstScalar)
 					// Aliased dst == src.
-					aSIMD, aScalar := NewPlanar(n), NewPlanar(n)
-					CopyPlanar(aSIMD, bins)
-					CopyPlanar(aScalar, bins)
+					aSIMD, aScalar := planarOf(binsC), planarOf(binsC)
 					s.SlideRotatedTab(aSIMD, aSIMD, diffs, tab)
 					forceScalarDuring(func() { s.SlideRotatedTab(aScalar, aScalar, diffs, tab) })
 					requirePlanarBitsEqual(t, ctx+"/aliased", aSIMD, aScalar)

@@ -301,10 +301,10 @@ func TestSlideRotatedMatchesRampedForward(t *testing.T) {
 	all := allBins(n)
 
 	delta := 16
-	bins := planarOf(rampedDFT(x[:n], delta))
+	spec := rampedDFT(x[:n], delta)
+	bins := planarOf(spec)
 	sel := []int{0, 1, 5, 17, 40, 63}
-	sparse := NewPlanar(n)
-	CopyPlanar(sparse, bins)
+	sparse := planarOf(spec)
 
 	start := 0
 	for _, m := range []int{1, 4, 2, 3, 4, 1, 1} {

@@ -245,7 +245,6 @@ func TestLateResultAcceptedOnce(t *testing.T) {
 
 	c, srv := testCoordinator(t, Config{LeasePoints: 1, LeaseTTL: 250 * time.Millisecond,
 		StoreDir: t.TempDir(), StoreNoSync: true})
-	fetch := collectFleet(t, c)
 	j, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +287,9 @@ func TestLateResultAcceptedOnce(t *testing.T) {
 	if status := postJSON(t, srv.URL, slowTok, "/v1/dist/result", late, nil); status != http.StatusOK {
 		t.Fatalf("late result: HTTP %d", status)
 	}
-	waitFleet(t, fetch, "lease-cancel", "")
+	if c.jobForLease(l2.ID) != nil {
+		t.Fatalf("redundant lease %s not cancelled by the late result", l2.ID)
+	}
 	if status := postJSON(t, srv.URL, fastTok, "/v1/dist/heartbeat", Heartbeat{Lease: l2.ID, Worker: "fast"}, nil); status != http.StatusGone {
 		t.Fatalf("heartbeat on cancelled lease: HTTP %d, want 410", status)
 	}

@@ -132,11 +132,11 @@ type workerState struct {
 // into per-point work, hands adaptively-sized point-range leases to
 // registered workers over long-polling HTTP (Handler), merges their
 // tallies bit-identically to a single in-process engine, persists
-// completed points for crash recovery, and publishes per-point and
-// fleet-wide events to subscribers. It runs no sweep computation itself
-// and spawns no goroutines of its own: all state advances inside worker
-// HTTP requests and Submit calls (long-polled lease requests park on the
-// caller's goroutine), so a coordinator is cheap enough to colocate with
+// completed points for crash recovery, and publishes per-point events
+// to subscribers. It runs no sweep computation itself and spawns no
+// goroutines of its own: all state advances inside worker HTTP requests
+// and Submit calls (long-polled lease requests park on the caller's
+// goroutine), so a coordinator is cheap enough to colocate with
 // anything.
 type Coordinator struct {
 	cfg Config
@@ -149,7 +149,6 @@ type Coordinator struct {
 	leaseExpiries atomic.Int64
 	requeuedPts   atomic.Int64
 	revocations   atomic.Int64
-	sseDropped    atomic.Int64
 
 	// planPool satisfies Spec.Request for pooled specs at planning time;
 	// its entries encode lazily and the coordinator never runs a packet,
@@ -178,13 +177,6 @@ type Coordinator struct {
 	// points re-queued, drain/revoke) — waiters re-check and re-park.
 	wakeMu sync.Mutex
 	wakeCh chan struct{}
-
-	// Fleet-wide event stream (fleet.go).
-	fmu       sync.Mutex
-	fleet     []FleetEvent
-	fleetSeq  int // seq of the next event
-	fleetSubs map[int]chan FleetEvent
-	nextFSub  int
 }
 
 // New creates a coordinator. With cfg.StoreDir set the directory is
@@ -205,7 +197,6 @@ func New(cfg Config) (*Coordinator, error) {
 		leaseJobs: make(map[string]string),
 		workers:   make(map[string]*workerState),
 		wakeCh:    make(chan struct{}),
-		fleetSubs: make(map[int]chan FleetEvent),
 	}
 	if cfg.StoreDir != "" {
 		st, stats, err := store.Open(cfg.StoreDir, store.Options{NoSync: cfg.StoreNoSync, MaxBytes: cfg.StoreMaxBytes})
@@ -235,9 +226,9 @@ func (c *Coordinator) PoolIdentity() (size int, seed int64) {
 	return c.cfg.PoolSize, c.cfg.PoolSeed
 }
 
-// Close ends the fleet event stream and stops accepting work. Pending
-// points stay in the manifests (when durable) for the next coordinator
-// life; completed tallies are already durable in the store.
+// Close stops accepting work. Pending points stay in the manifests
+// (when durable) for the next coordinator life; completed tallies are
+// already durable in the store.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -246,7 +237,6 @@ func (c *Coordinator) Close() {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	c.closeFleetSubs()
 	c.wake() // release parked long-polls promptly
 }
 
@@ -401,7 +391,6 @@ func (c *Coordinator) Submit(spec sweep.Spec) (*Job, error) {
 			return nil, err
 		}
 	}
-	c.emit(FleetEvent{Type: "job-submit", Job: j.ID, Points: len(j.points), Detail: j.Spec.Experiment})
 	c.log.Info("job submitted", "job", j.ID, "experiment", j.Spec.Experiment, "points", len(j.points))
 
 	// Serve whatever the store already holds before any lease goes out: a
@@ -485,7 +474,6 @@ func (c *Coordinator) registerWorker(name string) (*workerState, RegisterRespons
 	ws.token = ws.id + "." + hex.EncodeToString(raw)
 	c.workers[ws.id] = ws
 	c.wmu.Unlock()
-	c.emit(FleetEvent{Type: "worker-join", Worker: ws.id, Detail: name})
 	c.log.Info("worker registered", "worker", ws.id, "name", name)
 	resp := RegisterResponse{
 		Worker:       ws.id,
@@ -653,7 +641,6 @@ func (c *Coordinator) DrainWorker(id string) bool {
 	ws.state = workerDraining
 	name := ws.name
 	c.wmu.Unlock()
-	c.emit(FleetEvent{Type: "worker-drain", Worker: id, Detail: name})
 	c.log.Info("worker draining", "worker", id, "name", name)
 	c.wake() // its parked long-poll should return the drain directive now
 	return true
@@ -679,7 +666,6 @@ func (c *Coordinator) RevokeWorker(id string) bool {
 	}
 	ws.leases = make(map[string]string)
 	c.wmu.Unlock()
-	c.emit(FleetEvent{Type: "worker-revoke", Worker: id, Detail: name})
 	c.revocations.Add(1)
 	c.log.Warn("worker revoked", "worker", id, "name", name, "requeued_leases", len(orphans))
 	c.requeueOrphans(orphans, "worker revoked")
@@ -698,7 +684,6 @@ func (c *Coordinator) deregisterWorker(ws *workerState) {
 	}
 	ws.leases = make(map[string]string)
 	c.wmu.Unlock()
-	c.emit(FleetEvent{Type: "worker-leave", Worker: ws.id, Detail: ws.name})
 	c.log.Info("worker deregistered", "worker", ws.id, "name", ws.name)
 	if len(orphans) > 0 {
 		c.requeueOrphans(orphans, "worker deregistered")
@@ -968,7 +953,6 @@ func (j *Job) grantLease(ws *workerState, now time.Time, activeWorkers int) *Lea
 			delete(j.leases, id)
 			j.coord.forgetLease(id)
 			j.coord.untrackLease(l.worker, id)
-			j.coord.emit(FleetEvent{Type: "lease-expire", Worker: l.worker, Job: j.ID, Lease: id, Points: len(l.points), Detail: "ttl expired"})
 			j.rebuildPending()
 		}
 	}
@@ -1008,7 +992,6 @@ func (j *Job) grantLease(ws *workerState, now time.Time, activeWorkers int) *Lea
 		out.PoolSize = cfg.PoolSize
 		out.PoolSeed = cfg.PoolSeed
 	}
-	j.coord.emit(FleetEvent{Type: "lease-grant", Worker: ws.id, Job: j.ID, Lease: l.id, Points: len(points)})
 	j.coord.leasesGranted.Add(1)
 	j.coord.log.Info("lease granted", "job", j.ID, "lease", l.id, "worker", ws.id, "points", len(points), "first", points[0])
 	return out
@@ -1025,7 +1008,6 @@ func (j *Job) dropLease(leaseID, reason string) {
 	}
 	delete(j.leases, leaseID)
 	j.coord.forgetLease(leaseID)
-	j.coord.emit(FleetEvent{Type: "lease-expire", Worker: l.worker, Job: j.ID, Lease: leaseID, Points: len(l.points), Detail: reason})
 	j.coord.leaseExpiries.Add(1)
 	j.coord.requeuedPts.Add(int64(len(l.points)))
 	j.coord.log.Warn("lease dropped", "job", j.ID, "lease", leaseID, "reason", reason, "points", len(l.points))
@@ -1171,7 +1153,6 @@ func (j *Job) cancelRedundantLocked() {
 		delete(j.leases, id)
 		j.coord.forgetLease(id)
 		j.coord.untrackLease(l.worker, id)
-		j.coord.emit(FleetEvent{Type: "lease-cancel", Worker: l.worker, Job: j.ID, Lease: id, Points: len(l.points), Detail: "points completed elsewhere"})
 		j.coord.log.Info("lease cancelled, points completed elsewhere", "job", j.ID, "lease", id, "worker", l.worker, "points", len(l.points))
 	}
 }
@@ -1283,7 +1264,6 @@ func (j *Job) finalizeLocked() {
 		results[i] = pts
 	}
 	table, err := j.plan.Assemble(results)
-	j.coord.emit(FleetEvent{Type: "job-done", Job: j.ID, Points: len(j.points)})
 	j.Finish(table, results, err)
 }
 
@@ -1293,7 +1273,6 @@ func (j *Job) failLocked(err error) {
 		return
 	}
 	j.dropLeasesLocked()
-	j.coord.emit(FleetEvent{Type: "job-failed", Job: j.ID, Detail: err.Error()})
 	j.Finish(nil, nil, err)
 }
 
@@ -1483,12 +1462,6 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]string{"status": "revoked"})
 	}))
-
-	mux.HandleFunc("GET /v1/dist/stats", admin(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Stats())
-	}))
-
-	mux.HandleFunc("GET /v1/dist/events", admin(c.fleetEventsHandler))
 
 	return mux
 }

@@ -2,62 +2,28 @@ package dist
 
 // Lifecycle corner cases: drain during an in-flight lease, revocation
 // mid-lease, a coordinator restart while a worker is draining, and a
-// late result from an already-drained worker — plus the fleet event
-// stream they are all observable on, and the lease progress age that
-// tells a wedged worker from a busy one.
+// late result from an already-drained worker — each observed through
+// the coordinator's counters and registries — plus the lease progress
+// age that tells a wedged worker from a busy one.
 
 import (
-	"bufio"
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/sweep"
 )
 
-// collectFleet subscribes to the fleet stream and returns a fetch
-// function that yields every event seen so far.
-func collectFleet(t *testing.T, c *Coordinator) func() []FleetEvent {
-	t.Helper()
-	past, ch, cancel := c.SubscribeFleet(-1)
-	t.Cleanup(cancel)
-	var mu = make(chan struct{}, 1)
-	mu <- struct{}{}
-	events := append([]FleetEvent(nil), past...)
-	go func() {
-		for ev := range ch {
-			<-mu
-			events = append(events, ev)
-			mu <- struct{}{}
-		}
-	}()
-	return func() []FleetEvent {
-		<-mu
-		out := append([]FleetEvent(nil), events...)
-		mu <- struct{}{}
-		return out
-	}
-}
-
-// waitFleet blocks until an event of the given type (and, when non-empty,
-// detail substring) has been seen.
-func waitFleet(t *testing.T, fetch func() []FleetEvent, typ, detail string) FleetEvent {
+// waitFor polls cond until it holds, failing the test after a minute.
+func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
-	for {
-		for _, ev := range fetch() {
-			if ev.Type == typ && (detail == "" || strings.Contains(ev.Detail, detail)) {
-				return ev
-			}
-		}
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("no %q fleet event (detail~%q); saw %+v", typ, detail, fetch())
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -72,13 +38,12 @@ func TestDrainDuringInFlightLease(t *testing.T) {
 	want := directTable(t, spec)
 
 	c, srv := testCoordinator(t, Config{LeasePoints: 2, LeaseTTL: 60 * time.Second})
-	fetch := collectFleet(t, c)
 	j, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := testWorker(t, srv.URL, "")
-	grant := waitFleet(t, fetch, "lease-grant", "")
+	waitFor(t, "a lease grant", func() bool { return w.Stats().Leases > 0 })
 	w.Drain() // SIGTERM equivalent, mid-lease
 
 	select {
@@ -86,19 +51,13 @@ func TestDrainDuringInFlightLease(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("drained worker never exited")
 	}
-	leave := waitFleet(t, fetch, "worker-leave", "")
-	if leave.Worker != grant.Worker {
-		t.Fatalf("worker %s left, expected the drained %s", leave.Worker, grant.Worker)
-	}
 	// The in-flight lease's result must have been accepted before the
 	// deregistration — not dropped, not re-queued.
 	if p := j.Progress(); p.DonePoints < 2 {
 		t.Fatalf("drained worker's in-flight lease was not merged: %+v", p)
 	}
-	for _, ev := range fetch() {
-		if ev.Type == "lease-expire" {
-			t.Fatalf("drain path re-queued a lease: %+v", ev)
-		}
+	if st := c.Stats(); st.LeaseExpiries != 0 || st.RequeuedPoints != 0 {
+		t.Fatalf("drain path re-queued work: %d lease expiries, %d re-queued points", st.LeaseExpiries, st.RequeuedPoints)
 	}
 	if infos := c.WorkerInfos(); len(infos) != 0 {
 		t.Fatalf("drained worker still registered: %+v", infos)
@@ -120,7 +79,6 @@ func TestRevokeMidLease(t *testing.T) {
 	want := directTable(t, spec)
 
 	c, srv := testCoordinator(t, Config{LeasePoints: 2, LeaseTTL: 60 * time.Second})
-	fetch := collectFleet(t, c)
 	j, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -131,10 +89,13 @@ func TestRevokeMidLease(t *testing.T) {
 	if !c.RevokeWorker(id) {
 		t.Fatal("revoke failed")
 	}
-	waitFleet(t, fetch, "worker-revoke", "")
-	requeued := waitFleet(t, fetch, "lease-expire", "revoked")
-	if requeued.Lease != l.ID {
-		t.Fatalf("re-queued lease %s, want the revoked worker's %s", requeued.Lease, l.ID)
+	st := c.Stats()
+	if st.Revocations != 1 || st.RequeuedPoints != int64(len(l.Points)) {
+		t.Fatalf("after revoke: %d revocations, %d re-queued points; want 1 and the lease's %d",
+			st.Revocations, st.RequeuedPoints, len(l.Points))
+	}
+	if c.jobForLease(l.ID) != nil {
+		t.Fatalf("revoked worker's lease %s still live", l.ID)
 	}
 
 	// The rogue's result — correct tallies or not — must be rejected at
@@ -179,13 +140,12 @@ func TestCoordinatorRestartWhileDraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	handler.Store(first.Handler())
-	fetchFirst := collectFleet(t, first)
 	j1, err := first.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := testWorker(t, srv.URL, "")
-	waitFleet(t, fetchFirst, "lease-grant", "")
+	waitFor(t, "a lease grant", func() bool { return first.Stats().LeasesGranted > 0 })
 	w.Drain()
 
 	// Kill -9 the first coordinator: swap the handler, never Close it.
@@ -230,7 +190,6 @@ func TestLateResultFromDrainedWorker(t *testing.T) {
 	want := directTable(t, spec)
 
 	c, srv := testCoordinator(t, Config{LeasePoints: 2, LeaseTTL: 60 * time.Second})
-	fetch := collectFleet(t, c)
 	j, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +211,13 @@ func TestLateResultFromDrainedWorker(t *testing.T) {
 	if status := postJSON(t, srv.URL, token, "/v1/dist/deregister", struct{}{}, nil); status != http.StatusOK {
 		t.Fatalf("deregister: HTTP %d", status)
 	}
-	waitFleet(t, fetch, "lease-expire", "deregistered")
+	if c.jobForLease(l.ID) != nil {
+		t.Fatalf("deregistered worker's lease %s still live", l.ID)
+	}
+	if st := c.Stats(); st.LeaseExpiries != 1 || st.RequeuedPoints != int64(len(l.Points)) {
+		t.Fatalf("after deregister: %d lease expiries, %d re-queued points; want 1 and the lease's %d",
+			st.LeaseExpiries, st.RequeuedPoints, len(l.Points))
+	}
 
 	// Its late result must bounce (the registration is gone) and merge
 	// nothing.
@@ -267,178 +232,6 @@ func TestLateResultFromDrainedWorker(t *testing.T) {
 	testWorker(t, srv.URL, "")
 	if got := waitTable(t, j); got != want {
 		t.Fatalf("table after late-result drop differs from direct:\n%s\nvs\n%s", got, want)
-	}
-}
-
-// TestMemBudgetSelfDrain pins the worker memory watchdog: a worker with
-// an impossibly low heap budget notices the overage on its first
-// runtime/metrics sample and takes the ordinary graceful-drain path —
-// it deregisters and exits on its own, nothing waits for a lease TTL,
-// and the sweep still completes byte-identically on an unconstrained
-// worker.
-func TestMemBudgetSelfDrain(t *testing.T) {
-	spec := testSpec()
-	want := directTable(t, spec)
-	c, srv := testCoordinator(t, Config{LeasePoints: 2, LeaseTTL: 60 * time.Second})
-	j, err := c.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := StartWorker(WorkerConfig{
-		Coordinator:   srv.URL,
-		Engine:        sweep.Config{Workers: 2, ShardPackets: 2},
-		Heartbeat:     50 * time.Millisecond,
-		RetryBase:     10 * time.Millisecond,
-		RetryMax:      100 * time.Millisecond,
-		MemBudget:     1, // one byte: any live heap exceeds it
-		MemCheckEvery: 5 * time.Millisecond,
-		Log:           testLogger(t),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-	select {
-	case <-w.Done():
-	case <-time.After(60 * time.Second):
-		t.Fatal("over-budget worker never drained itself")
-	}
-	if !w.Draining() {
-		t.Fatal("worker exited without its drain flag set")
-	}
-	if infos := c.WorkerInfos(); len(infos) != 0 {
-		t.Fatalf("self-drained worker still registered: %+v", infos)
-	}
-	testWorker(t, srv.URL, "")
-	if got := waitTable(t, j); got != want {
-		t.Fatalf("table after mem-budget drain differs from direct:\n%s\nvs\n%s", got, want)
-	}
-}
-
-// TestCPUBudgetSelfDrain pins the CPU watchdog the same way: a worker
-// whose injected CPU sampler reports a rate far over -cpu-budget for
-// CPUSustain consecutive checks takes the ordinary graceful-drain path,
-// and the sweep completes byte-identically on an unconstrained worker.
-func TestCPUBudgetSelfDrain(t *testing.T) {
-	spec := testSpec()
-	want := directTable(t, spec)
-	c, srv := testCoordinator(t, Config{LeasePoints: 2, LeaseTTL: 60 * time.Second})
-	j, err := c.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu := 0.0
-	w, err := StartWorker(WorkerConfig{
-		Coordinator:   srv.URL,
-		Engine:        sweep.Config{Workers: 2, ShardPackets: 2},
-		Heartbeat:     50 * time.Millisecond,
-		RetryBase:     10 * time.Millisecond,
-		RetryMax:      100 * time.Millisecond,
-		CPUBudget:     0.5,
-		CPUCheckEvery: 5 * time.Millisecond,
-		CPUSustain:    2,
-		// Every sample adds 10 CPU-seconds, so the measured rate is
-		// thousands of cores against a budget of half a core.
-		CPUSample: func() (float64, bool) { cpu += 10; return cpu, true },
-		Log:       testLogger(t),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Close)
-	select {
-	case <-w.Done():
-	case <-time.After(60 * time.Second):
-		t.Fatal("over-CPU-budget worker never drained itself")
-	}
-	if !w.Draining() {
-		t.Fatal("worker exited without its drain flag set")
-	}
-	if infos := c.WorkerInfos(); len(infos) != 0 {
-		t.Fatalf("self-drained worker still registered: %+v", infos)
-	}
-	testWorker(t, srv.URL, "")
-	if got := waitTable(t, j); got != want {
-		t.Fatalf("table after cpu-budget drain differs from direct:\n%s\nvs\n%s", got, want)
-	}
-}
-
-// TestFleetEventStream pins the dashboard surface: the in-process
-// subscription replays history with strictly increasing sequence
-// numbers, and the SSE endpoint authenticates with the join secret and
-// honours Last-Event-ID resume.
-func TestFleetEventStream(t *testing.T) {
-	c, srv := testCoordinator(t, Config{LeasePoints: 2, Token: "admin"})
-	j, err := c.Submit(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	testWorker(t, srv.URL, "admin")
-	waitTable(t, j)
-
-	past, _, cancel := c.SubscribeFleet(-1)
-	cancel()
-	seen := map[string]bool{}
-	for i, ev := range past {
-		if ev.Seq != i {
-			t.Fatalf("event %d has seq %d; want dense increasing seqs", i, ev.Seq)
-		}
-		seen[ev.Type] = true
-	}
-	for _, typ := range []string{"job-submit", "worker-join", "lease-grant", "job-done"} {
-		if !seen[typ] {
-			t.Fatalf("no %q event in %+v", typ, past)
-		}
-	}
-
-	// SSE: secret-gated, Last-Event-ID honoured, one SSE frame per event
-	// with the seq as its id and the type as its event name.
-	req, err := http.NewRequest(http.MethodGet, srv.URL+"/v1/dist/events", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := http.DefaultClient.Do(req); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusUnauthorized {
-			t.Fatalf("secretless SSE: HTTP %d, want 401", resp.StatusCode)
-		}
-	}
-	ctx, cancelReq := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancelReq()
-	req = req.Clone(ctx)
-	req.Header.Set("Authorization", "Bearer admin")
-	req.Header.Set("Last-Event-ID", "1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "text/event-stream" {
-		t.Fatalf("SSE response: HTTP %d %s", resp.StatusCode, resp.Header.Get("Content-Type"))
-	}
-	sc := bufio.NewScanner(resp.Body)
-	var ids, types []string
-	for sc.Scan() && (len(ids) < 3 || len(types) < 3) {
-		line := sc.Text()
-		if v, ok := strings.CutPrefix(line, "id: "); ok {
-			ids = append(ids, v)
-		}
-		if v, ok := strings.CutPrefix(line, "event: "); ok {
-			types = append(types, v)
-		}
-	}
-	if len(ids) < 3 || len(types) < 3 {
-		t.Fatalf("SSE replay too short: ids=%v types=%v", ids, types)
-	}
-	if ids[0] != "2" {
-		t.Fatalf("first replayed id %s, want 2 (Last-Event-ID: 1 must skip 0 and 1)", ids[0])
-	}
-	for i, typ := range types {
-		if typ != past[i+2].Type {
-			t.Fatalf("SSE event %d is %q, subscription saw %q", i, typ, past[i+2].Type)
-		}
 	}
 }
 

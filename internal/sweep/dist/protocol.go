@@ -32,8 +32,8 @@
 // means the token is unknown — typically a restarted coordinator whose
 // registry died with it — and the worker re-registers and carries on. A
 // 403 means the worker was revoked: it cancels any in-flight work and
-// exits. Admin calls (worker list, drain, revoke, the fleet event
-// stream) authenticate with the join secret.
+// exits. Admin calls (worker list, drain, revoke) authenticate with
+// the join secret.
 //
 // # Lease lifecycle
 //
@@ -119,8 +119,8 @@
 // and keep atomic operational counters that cost nothing to the
 // protocol paths. Coordinator.Stats() aggregates the fleet view —
 // workers by state, in-flight leases, queue depth, the adaptive lease
-// estimate, grant/expiry/re-queue/revocation totals, fleet-stream
-// subscriber and drop counts — and Coordinator.WritePrometheus renders
+// estimate, grant/expiry/re-queue/revocation totals, the stalest
+// lease's progress age — and Coordinator.WritePrometheus renders
 // it as cpr_dist_* series; Worker.Stats()/WritePrometheus do the same
 // for a worker's lease/poll/retry/re-registration/result counters
 // (cpr_dist_worker_*). Both are instance-scoped (not in the process
@@ -142,8 +142,6 @@ import "repro/internal/sweep"
 //	GET  /v1/dist/workers     → 200 {"items":[WorkerInfo…],"next_cursor":…}, newest first (join-secret auth)
 //	POST /v1/dist/workers/{id}/drain    → 200                          (join-secret auth)
 //	POST /v1/dist/workers/{id}/revoke   → 200                          (join-secret auth)
-//	GET  /v1/dist/stats       → 200 FleetStats                         (join-secret auth)
-//	GET  /v1/dist/events      fleet-wide SSE stream (Last-Event-ID resume, join-secret auth)
 //
 // Failures answer with the shared /v1 envelope
 // ({"error":{"code","message"}}, internal/api); workers key on the
@@ -156,7 +154,7 @@ import "repro/internal/sweep"
 // RegisterRequest joins a worker to the fleet.
 type RegisterRequest struct {
 	// Worker is the self-reported name (host:pid by default) — used in
-	// logs and fleet events alongside the assigned id.
+	// logs alongside the assigned id.
 	Worker string `json:"worker"`
 }
 
@@ -269,20 +267,4 @@ type WorkerInfo struct {
 	// worker that heartbeats dutifully while this grows is wedged: the
 	// lease TTL cannot see it, so an operator drains or revokes it.
 	LastProgressSec float64 `json:"last_progress_sec"`
-}
-
-// FleetEvent is one entry of the fleet-wide event stream (GET
-// /v1/dist/events): worker lifecycle, lease lifecycle and job
-// milestones, sequenced for Last-Event-ID resume.
-type FleetEvent struct {
-	Seq  int    `json:"seq"`
-	Type string `json:"type"` // worker-join|worker-drain|worker-revoke|worker-leave|lease-grant|lease-expire|lease-cancel|job-submit|job-done|job-failed
-	// Worker is the assigned worker id (worker and lease events).
-	Worker string `json:"worker,omitempty"`
-	Job    string `json:"job,omitempty"`
-	Lease  string `json:"lease,omitempty"`
-	// Points is the point count a lease event covers.
-	Points int `json:"points,omitempty"`
-	// Detail is a human-oriented annotation (names, reasons).
-	Detail string `json:"detail,omitempty"`
 }

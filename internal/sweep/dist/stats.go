@@ -2,7 +2,6 @@ package dist
 
 import (
 	"io"
-	"math"
 	"time"
 
 	"repro/internal/obs"
@@ -26,9 +25,6 @@ type FleetStats struct {
 	LeaseExpiries   int64   `json:"lease_expiries"` // expired + dropped leases
 	RequeuedPoints  int64   `json:"requeued_points"`
 	Revocations     int64   `json:"revocations"`
-	FleetEvents     int     `json:"fleet_events"`    // total emitted this life
-	SSESubscribers  int     `json:"sse_subscribers"` // live fleet-stream subscribers
-	SSEDropped      int64   `json:"sse_dropped"`     // subscribers dropped for falling behind
 	// OldestProgressSec is the progress age of the stalest live lease:
 	// seconds since it last advanced its heartbeat packet count (0 with no
 	// live leases). A value that keeps growing while heartbeats keep
@@ -43,16 +39,15 @@ type FleetStats struct {
 }
 
 // Stats assembles a FleetStats snapshot. Each job and registry lock is
-// taken briefly in the sanctioned order (j.mu alone, then wmu alone,
-// then fmu alone); the snapshot is consistent per subsystem, not
-// globally atomic — fine for telemetry.
+// taken briefly in the sanctioned order (j.mu alone, then wmu alone);
+// the snapshot is consistent per subsystem, not globally atomic — fine
+// for telemetry.
 func (c *Coordinator) Stats() FleetStats {
 	s := FleetStats{
 		LeasesGranted:  c.leasesGranted.Load(),
 		LeaseExpiries:  c.leaseExpiries.Load(),
 		RequeuedPoints: c.requeuedPts.Load(),
 		Revocations:    c.revocations.Load(),
-		SSEDropped:     c.sseDropped.Load(),
 		HeartbeatSec:   c.cfg.Heartbeat.Seconds(),
 		LongPollSec:    c.cfg.LongPoll.Seconds(),
 		TTLSec:         c.cfg.LeaseTTL.Seconds(),
@@ -92,10 +87,6 @@ func (c *Coordinator) Stats() FleetStats {
 		}
 	}
 	c.wmu.Unlock()
-	c.fmu.Lock()
-	s.FleetEvents = c.fleetSeq
-	s.SSESubscribers = len(c.fleetSubs)
-	c.fmu.Unlock()
 	return s
 }
 
@@ -126,12 +117,6 @@ func (c *Coordinator) WritePrometheus(w io.Writer) {
 	obs.WriteSample(w, "cpr_dist_requeued_points_total", float64(s.RequeuedPoints))
 	obs.WriteHeader(w, "cpr_dist_revocations_total", "counter", "Worker tokens revoked.")
 	obs.WriteSample(w, "cpr_dist_revocations_total", float64(s.Revocations))
-	obs.WriteHeader(w, "cpr_dist_fleet_events_total", "counter", "Fleet events emitted this coordinator life.")
-	obs.WriteSample(w, "cpr_dist_fleet_events_total", float64(s.FleetEvents))
-	obs.WriteHeader(w, "cpr_dist_fleet_subscribers", "gauge", "Live fleet event-stream subscribers.")
-	obs.WriteSample(w, "cpr_dist_fleet_subscribers", float64(s.SSESubscribers))
-	obs.WriteHeader(w, "cpr_dist_fleet_dropped_total", "counter", "Fleet subscribers dropped for falling behind.")
-	obs.WriteSample(w, "cpr_dist_fleet_dropped_total", float64(s.SSEDropped))
 	obs.WriteHeader(w, "cpr_dist_oldest_progress_seconds", "gauge", "Progress age of the stalest live lease (0 with none).")
 	obs.WriteSample(w, "cpr_dist_oldest_progress_seconds", s.OldestProgressSec)
 }
@@ -153,9 +138,6 @@ type WorkerStats struct {
 	// worker is idle or parked on a long-poll).
 	Lease    string `json:"lease,omitempty"`
 	LeaseJob string `json:"lease_job,omitempty"`
-	// CPUCores is the most recent process CPU rate sample in cores
-	// (0 until the -cpu-budget watchdog has taken two samples).
-	CPUCores float64 `json:"cpu_cores,omitempty"`
 }
 
 // Stats snapshots the worker's counters.
@@ -169,7 +151,6 @@ func (w *Worker) Stats() WorkerStats {
 		Retries:         w.retries.Load(),
 		Reregistrations: w.reregs.Load(),
 		Results:         w.results.Load(),
-		CPUCores:        math.Float64frombits(w.cpuRate.Load()),
 	}
 	if cur, ok := w.curLease.Load().(curLease); ok {
 		s.Lease, s.LeaseJob = cur.lease, cur.job
@@ -203,6 +184,4 @@ func (w *Worker) WritePrometheus(out io.Writer) {
 		inflight = 1
 	}
 	obs.WriteSample(out, "cpr_dist_worker_lease_inflight", inflight)
-	obs.WriteHeader(out, "cpr_dist_worker_cpu_cores", "gauge", "Most recent process CPU rate sample (cores; 0 until sampled).")
-	obs.WriteSample(out, "cpr_dist_worker_cpu_cores", s.CPUCores)
 }

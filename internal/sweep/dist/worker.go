@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"math/rand"
 	"net/http"
 	"os"
-	"runtime/metrics"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,8 +25,8 @@ type WorkerConfig struct {
 	// empty for unauthenticated coordinators). Data-plane calls use the
 	// per-worker token minted in exchange.
 	Token string
-	// ID is the self-reported worker name, used in logs and fleet events
-	// alongside the coordinator-assigned id (default "host:pid").
+	// ID is the self-reported worker name, used in logs alongside the
+	// coordinator-assigned id (default "host:pid").
 	ID string
 	// Engine configures the local execution engine. Workers and
 	// ShardPackets are honoured; PoolSize and PoolSeed are overridden per
@@ -46,35 +44,6 @@ type WorkerConfig struct {
 	// to failed coordinator calls (defaults 200ms and 5s).
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// MemBudget, when positive, is a self-imposed heap ceiling in bytes:
-	// the worker samples runtime/metrics heap usage and triggers its own
-	// graceful drain (finish the in-flight lease, report it, deregister)
-	// the first time live heap objects exceed the budget. Zero disables
-	// the watchdog.
-	MemBudget int64
-	// MemCheckEvery is the heap sampling interval for MemBudget
-	// (default 2s; tests shorten it).
-	MemCheckEvery time.Duration
-	// CPUBudget, when positive, is a self-imposed CPU ceiling in cores —
-	// the -mem-budget twin. The worker samples its cumulative process CPU
-	// time (from /proc/self/stat where available, falling back to
-	// runtime/metrics CPU classes) every CPUCheckEvery, and triggers the
-	// same graceful drain as MemBudget once the measured rate stays over
-	// budget for CPUSustain consecutive samples. Sustained, not
-	// instantaneous: a single busy sampling window (a lease warming its
-	// waveform pool, a GC burst) must not cost the fleet a worker. Zero
-	// disables the watchdog.
-	CPUBudget float64
-	// CPUCheckEvery is the CPU sampling interval for CPUBudget (default
-	// 2s; tests shorten it).
-	CPUCheckEvery time.Duration
-	// CPUSustain is how many consecutive over-budget samples trigger the
-	// drain (default 3).
-	CPUSustain int
-	// CPUSample overrides the cumulative process-CPU-seconds source
-	// (tests inject a deterministic ramp; nil uses the real process
-	// clock).
-	CPUSample func() (seconds float64, ok bool)
 	// HTTPClient overrides the default client (tests inject the
 	// httptest transport or a chaos RoundTripper; production tunes
 	// timeouts). Client-level timeouts should exceed the long-poll
@@ -110,15 +79,6 @@ func (c WorkerConfig) withDefaults() (WorkerConfig, error) {
 	}
 	if c.Log == nil {
 		c.Log = slog.New(slog.DiscardHandler)
-	}
-	if c.MemCheckEvery <= 0 {
-		c.MemCheckEvery = 2 * time.Second
-	}
-	if c.CPUCheckEvery <= 0 {
-		c.CPUCheckEvery = 2 * time.Second
-	}
-	if c.CPUSustain <= 0 {
-		c.CPUSustain = 3
 	}
 	return c, nil
 }
@@ -156,7 +116,6 @@ type Worker struct {
 	reregs  atomic.Int64 // transparent re-registrations after a 401
 	results atomic.Int64 // lease results delivered
 	drain   atomic.Bool
-	cpuRate atomic.Uint64 // math.Float64bits of the last CPU rate sample (cores)
 	// curLease holds a curLease naming the lease executing right now
 	// (zero value when idle) — surfaced by Stats for /v1/status.
 	curLease atomic.Value
@@ -198,110 +157,11 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	w.wg.Add(1)
 	go w.loop()
-	if cfg.MemBudget > 0 {
-		w.wg.Add(1)
-		go w.memWatch()
-	}
-	if cfg.CPUBudget > 0 {
-		w.wg.Add(1)
-		go w.cpuWatch()
-	}
 	return w, nil
-}
-
-// memWatch enforces WorkerConfig.MemBudget: it samples live heap bytes
-// from runtime/metrics every MemCheckEvery and triggers the ordinary
-// graceful drain the first time the budget is exceeded. Draining (not
-// dying) means the in-flight lease still completes and is reported; the
-// fleet simply loses this worker's capacity before the kernel's OOM
-// killer takes it uncleanly.
-func (w *Worker) memWatch() {
-	defer w.wg.Done()
-	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-	t := time.NewTicker(w.cfg.MemCheckEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.ctx.Done():
-			return
-		case <-t.C:
-			if w.drain.Load() {
-				return
-			}
-			metrics.Read(sample)
-			if sample[0].Value.Kind() != metrics.KindUint64 {
-				return // metric vanished from the runtime; nothing to enforce
-			}
-			heap := sample[0].Value.Uint64()
-			if heap > uint64(w.cfg.MemBudget) {
-				w.log.Warn("heap budget exceeded, self-draining",
-					"heap_bytes", heap, "budget_bytes", w.cfg.MemBudget)
-				w.Drain()
-				return
-			}
-		}
-	}
 }
 
 // curLease is the value stored in Worker.curLease while a lease runs.
 type curLease struct{ lease, job string }
-
-// cpuWatch enforces WorkerConfig.CPUBudget: it differences cumulative
-// process CPU seconds across CPUCheckEvery windows into a rate in cores,
-// and triggers the same graceful drain as memWatch once the rate has
-// stayed over budget for CPUSustain consecutive windows. Like the heap
-// watchdog, draining (not dying) lets the in-flight lease complete and
-// report before the worker leaves the fleet — capacity is shed before a
-// cgroup throttler or a co-tenant starves everything on the box.
-func (w *Worker) cpuWatch() {
-	defer w.wg.Done()
-	sample := w.cfg.CPUSample
-	if sample == nil {
-		sample = processCPUSeconds
-	}
-	last, ok := sample()
-	if !ok {
-		w.log.Warn("no process CPU source; -cpu-budget watchdog disabled")
-		return
-	}
-	lastAt := time.Now()
-	over := 0
-	t := time.NewTicker(w.cfg.CPUCheckEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.ctx.Done():
-			return
-		case <-t.C:
-			if w.drain.Load() {
-				return
-			}
-			cur, ok := sample()
-			if !ok {
-				return // CPU source vanished; nothing to enforce
-			}
-			now := time.Now()
-			window := now.Sub(lastAt).Seconds()
-			if window <= 0 {
-				continue
-			}
-			rate := (cur - last) / window
-			last, lastAt = cur, now
-			w.cpuRate.Store(math.Float64bits(rate))
-			if rate > w.cfg.CPUBudget {
-				over++
-			} else {
-				over = 0
-			}
-			if over >= w.cfg.CPUSustain {
-				w.log.Warn("cpu budget exceeded, self-draining",
-					"cpu_cores", rate, "budget_cores", w.cfg.CPUBudget, "sustained_samples", over)
-				w.Drain()
-				return
-			}
-		}
-	}
-}
 
 // Leases reports how many leases this worker has been granted (test and
 // monitoring hook).

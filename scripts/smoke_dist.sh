@@ -100,13 +100,14 @@ kill -9 "$W1" 2>/dev/null || true
 wait_points 6
 echo "== scraping /metrics mid-sweep (coordinator + worker 2) =="
 # Both scrapes must be valid Prometheus text with real activity: the
-# coordinator has granted leases, and worker 2 — the only live worker
-# since w1 died — has completed sweep points. promcheck retries absorb
+# coordinator has granted leases and counts worker 2 as active, and
+# worker 2 — the only live worker since w1 died — has completed sweep
+# points. promcheck retries absorb
 # the scrape-vs-progress race.
 "$GO" run ./cmd/promcheck -url "http://127.0.0.1:$PORT/metrics" -token "$TOKEN" \
     -retries 50 \
     -require cpr_dist_leases_granted_total \
-    -require cpr_dist_fleet_events_total || {
+    -require cpr_dist_workers || {
     echo "coordinator /metrics scrape failed" >&2
     dump_logs
     exit 1
