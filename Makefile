@@ -78,11 +78,12 @@ bench:
 # and the planar SIMD kernels, among them the sliding-DFT update
 # SlideRotatedTab, each with its ForceScalar twin), and at packet size one Fig 8
 # ACI synthesis (Scenario.Run), one whole aci-fresh and
-# aci-pooled-soft packet (PSRPlan.RunPacket), and one aci-fresh packet
-# through every receiver arm.
+# aci-pooled-soft packet (PSRPlan.RunPacket), the fleet-small-points
+# serial loop's 100-byte Fig 8 packets cycling over its 30 points, and
+# one aci-fresh packet through every receiver arm.
 bench-hotpath:
 	$(GO) test -bench 'BenchmarkScenarioRunACI' -benchtime 200x -benchmem -run '^$$' ./internal/interference/
-	$(GO) test -bench 'BenchmarkRunPacketACI|BenchmarkRunPacketSoft|BenchmarkRunPacketAllArms' -benchtime 200x -benchmem -run '^$$' ./internal/experiments/
+	$(GO) test -bench 'BenchmarkRunPacketACI|BenchmarkRunPacketSoft|BenchmarkRunPacketSmall|BenchmarkRunPacketAllArms' -benchtime 200x -benchmem -run '^$$' ./internal/experiments/
 	$(GO) test -bench 'BenchmarkSegment' -benchtime 2000x -run '^$$' ./internal/ofdm/
 	$(GO) test -bench 'BenchmarkObserve' -benchtime 2000x -run '^$$' ./internal/rx/
 	$(GO) test -bench 'BenchmarkViterbiDecode' -benchtime 500x -run '^$$' ./internal/coding/
@@ -106,12 +107,13 @@ bench-hotpath:
 # the obs suite pins the metrics layer at 0 allocs per hot-path update;
 # the store suite covers the result store's encode/decode/lookup path;
 # the interference and experiments suites time one packet's synthesis
-# and one whole packet at the aci-fresh Fig 8 point, and one whole soft
-# packet at the aci-pooled-soft -10 dB point.
+# and one whole packet at the aci-fresh Fig 8 point, one whole soft
+# packet at the aci-pooled-soft -10 dB point, and the 100-byte Fig 8
+# packets of the fleet-small-points workload.
 bench-json:
 	set -e; tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) test -bench 'BenchmarkScenarioRunACI' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/interference/ >> "$$tmp"; \
-	$(GO) test -bench 'BenchmarkRunPacketACI|BenchmarkRunPacketSoft' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/experiments/ >> "$$tmp"; \
+	$(GO) test -bench 'BenchmarkRunPacketACI|BenchmarkRunPacketSoft|BenchmarkRunPacketSmall' -benchtime 200x -count 3 -benchmem -run '^$$' ./internal/experiments/ >> "$$tmp"; \
 	$(GO) test -bench 'BenchmarkObserve' -benchtime 2000x -count 3 -benchmem -run '^$$' ./internal/rx/ >> "$$tmp"; \
 	$(GO) test -bench 'BenchmarkSegment' -benchtime 2000x -count 3 -benchmem -run '^$$' ./internal/ofdm/ >> "$$tmp"; \
 	$(GO) test -bench 'BenchmarkViterbiDecode' -benchtime 500x -count 3 -benchmem -run '^$$' ./internal/coding/ >> "$$tmp"; \

@@ -28,18 +28,24 @@
 // complex128 only at the equalizer/constellation boundary; the planar FFT
 // is pinned value-identical to the interleaved one, and the slid windows
 // to a direct per-window FFT.
-// Transmit synthesis is planar and allocation-free too: ofdm.Modulator
-// runs the unnormalised planar inverse FFT with one gain multiply per
-// sample, wifi.BuildPPDUInto encodes into a caller's buffer from pooled
-// scratch, channel.Multipath.AddInto filters each interferer tile
-// straight into the stream, and interference.Scenario.RunInto realises a
-// packet into a reused Composite (PSRPlan.RunPacket recycles them through
-// a sync.Pool), so a steady-state packet's synthesis allocates nothing.
+// Transmit synthesis is planar, windowed and allocation-free too:
+// ofdm.Modulator runs the unnormalised planar inverse FFT with one gain
+// multiply per sample, wifi.BuildPPDUInto encodes into a caller's buffer
+// from pooled scratch and builds only the symbols that overlap a
+// requested sample window, encoding only the information bits they
+// carry, interference.Scenario asks each fresh interferer tile for just
+// the samples that land in the stream (plus the channel's taps−1 before
+// them), channel.Multipath.AddInto filters the tile straight into the
+// stream, and interference.Scenario.RunInto realises a packet into a
+// reused Composite (PSRPlan.RunPacket recycles them through a
+// sync.Pool), so a steady-state packet's synthesis allocates nothing.
 // The receive side is recycled through the same pooled packet buffer:
 // the rx.Frame (with its demodulator) is re-bound in place by
-// Frame.Bind, the core.Training retrained in place by Training.Train,
-// and each arm's core.Receiver reset by Receiver.Bind, so a warm packet
-// allocates only each arm's decoded bits and PSDU. Buffer ownership
+// Frame.Bind, the core.Training retrained in place by Training.Train
+// (which leaves the preamble deviations' phases to the KDE fits, the
+// only readers), and each arm's core.Receiver reset by Receiver.Bind;
+// the Viterbi decoder traces back into the pooled decode scratch, so a
+// warm packet allocates only each arm's PSDU. Buffer ownership
 // follows one rule throughout: observations and decisions a Frame or
 // decider hands out (rx.Observation.Data, StandardDecider's decision
 // and confidence slots on the Frame, the decisions of a core.Receiver,

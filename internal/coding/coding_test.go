@@ -130,6 +130,26 @@ func TestConvEncodeLength(t *testing.T) {
 	}
 }
 
+// TestConvEncodeRangeMatchesWhole pins the block encoder a windowed
+// transmitter relies on: every block [lo, hi) of a stream, including
+// blocks that start inside the first six bits, encodes to the matching
+// slice of the whole stream's coded bits.
+func TestConvEncodeRangeMatchesWhole(t *testing.T) {
+	r := dsp.NewRand(4)
+	bits := make([]byte, 61)
+	for i := range bits {
+		bits[i] = byte(r.Intn(2))
+	}
+	whole := ConvEncode(bits)
+	for lo := 0; lo <= len(bits); lo++ {
+		for hi := lo; hi <= len(bits); hi += 1 + lo%5 {
+			if got := AppendConvEncodeRange(nil, bits, lo, hi); !bytes.Equal(got, whole[2*lo:2*hi]) {
+				t.Fatalf("block [%d, %d): coded %v, want %v", lo, hi, got, whole[2*lo:2*hi])
+			}
+		}
+	}
+}
+
 func TestViterbiNoiselessRoundTripProperty(t *testing.T) {
 	v := NewViterbi()
 	f := func(seed int64) bool {

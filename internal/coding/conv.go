@@ -31,8 +31,20 @@ func ConvEncode(bits []byte) []byte {
 // AppendConvEncode appends ConvEncode(bits) to dst and returns the
 // extended slice, so a transmitter can reuse one coded-bit buffer.
 func AppendConvEncode(dst, bits []byte) []byte {
-	var reg uint32 // reg holds the last 6 input bits; newest in bit 5... we use shift-in-at-top
-	for _, b := range bits {
+	return AppendConvEncodeRange(dst, bits, 0, len(bits))
+}
+
+// AppendConvEncodeRange appends ConvEncode(bits)[2*lo:2*hi] to dst — the
+// coded bits of input bits [lo, hi) — and returns the extended slice.
+// The encoder's state at lo is the six input bits before it, so only
+// those are read from the prefix: a transmitter can encode any block of
+// a stream without encoding what precedes it.
+func AppendConvEncodeRange(dst, bits []byte, lo, hi int) []byte {
+	var reg uint32 // the last six input bits, the newest in bit 5
+	for _, b := range bits[max(0, lo-(constraintLen-1)):lo] {
+		reg = ((uint32(b&1) << 6) | reg) >> 1
+	}
+	for _, b := range bits[lo:hi] {
 		v := (uint32(b&1) << 6) | reg
 		dst = append(dst, parity(v&polyA), parity(v&polyB))
 		reg = v >> 1

@@ -95,7 +95,7 @@ func (v *Viterbi) Decode(llrs []float64) ([]byte, error) {
 		return nil, fmt.Errorf("coding: Viterbi needs an even LLR count, got %d", len(llrs))
 	}
 	n := len(llrs) / 2
-	return decodeFloat(llrs, v.anchorAll(n)), nil
+	return decodeFloat(nil, llrs, v.anchorAll(n)), nil
 }
 
 // anchorAll maps Terminated onto an anchor for an n-step stream: anchored
@@ -126,15 +126,15 @@ func (v *Viterbi) DecodeAnchored(llrs []float64, anchorBit int) ([]byte, error) 
 	if len(llrs)%2 != 0 {
 		return nil, fmt.Errorf("coding: Viterbi needs an even LLR count, got %d", len(llrs))
 	}
-	return decodeFloat(llrs, anchorBit), nil
+	return decodeFloat(nil, llrs, anchorBit), nil
 }
 
 // decodeFloat runs the float64 forward pass over len(llrs)/2 steps — the
 // AVX2 kernel when internal/dsp reports AVX2 and ForceScalar is off,
 // forwardFloat otherwise (purego builds and other architectures included)
-// — and traces back with the zero-state anchor at anchor (see
+// — and traces back into dst with the zero-state anchor at anchor (see
 // traceAnchored).
-func decodeFloat(llrs []float64, anchor int) []byte {
+func decodeFloat(dst []byte, llrs []float64, anchor int) []byte {
 	n := len(llrs) / 2
 	if n == 0 {
 		return nil
@@ -146,7 +146,7 @@ func decodeFloat(llrs []float64, anchor int) []byte {
 	if !ok {
 		final = forwardFloat(llrs, surv)
 	}
-	return traceAnchored(surv, final, anchor)
+	return traceAnchored(dst, surv, final, anchor)
 }
 
 // floatStart returns the float path metrics before the first step: 0 for
@@ -219,10 +219,14 @@ func bestState[T int16 | float64](metric *[numStates]T) int {
 // traceAnchored walks the survivors of len(surv) steps back into bits:
 // bits [anchor, n) from state final at the end, bits [0, anchor) from the
 // zero state at step anchor. anchor == n is terminated decoding; anchor
-// == 0 is best-final-state decoding when final is the best state.
-func traceAnchored(surv []uint64, final, anchor int) []byte {
+// == 0 is best-final-state decoding when final is the best state. The
+// bits go into dst when it has the capacity, a fresh slice otherwise.
+func traceAnchored(dst []byte, surv []uint64, final, anchor int) []byte {
 	n := len(surv)
-	bits := make([]byte, n)
+	if cap(dst) < n {
+		dst = make([]byte, n)
+	}
+	bits := dst[:n]
 	traceback(surv, bits, anchor, n, final)
 	traceback(surv, bits, 0, anchor, 0)
 	return bits
@@ -258,16 +262,20 @@ func depuncturePooled(llrs []float64, r CodeRate, motherLen int) (*[]float64, er
 }
 
 // DecodePuncturedAnchored depunctures llrs for rate r (nInfo information
-// bits) and decodes with the zero-state anchor after anchorBit bits. The
-// mother stream is pooled, so steady-state decodes allocate only the
-// returned bits.
-func (v *Viterbi) DecodePuncturedAnchored(llrs []float64, r CodeRate, nInfo, anchorBit int) ([]byte, error) {
+// bits) and decodes with the zero-state anchor after anchorBit bits,
+// writing the bits into dst when it has the capacity (a fresh slice
+// otherwise) and returning them. The mother stream is pooled, so a
+// steady-state decode into a reused dst does not allocate.
+func (v *Viterbi) DecodePuncturedAnchored(dst []byte, llrs []float64, r CodeRate, nInfo, anchorBit int) ([]byte, error) {
 	mp, err := depuncturePooled(llrs, r, 2*nInfo)
 	if err != nil {
 		return nil, err
 	}
 	defer float64Pool.Put(mp)
-	return v.DecodeAnchored(*mp, anchorBit)
+	if anchorBit < 0 || anchorBit > nInfo {
+		return nil, fmt.Errorf("coding: anchor %d outside [0,%d]", anchorBit, nInfo)
+	}
+	return decodeFloat(dst, *mp, anchorBit), nil
 }
 
 // DecodeHard decodes hard-decision mother-code bits (0/1 per byte) on
@@ -278,7 +286,7 @@ func (v *Viterbi) DecodeHard(coded []byte) ([]byte, error) {
 		return nil, fmt.Errorf("coding: Viterbi needs an even LLR count, got %d", len(coded))
 	}
 	n := len(coded) / 2
-	return v.DecodeHardPuncturedAnchored(coded, Rate1_2, n, v.anchorAll(n))
+	return v.DecodeHardPuncturedAnchored(nil, coded, Rate1_2, n, v.anchorAll(n))
 }
 
 // DecodePunctured depunctures llrs for rate r (nInfo information bits,

@@ -60,10 +60,12 @@ func benchDecodeHard(b *testing.B, scalar bool) {
 	dsp.ForceScalar(scalar)
 	defer dsp.ForceScalar(false)
 	v := NewViterbi()
+	var out []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := v.DecodeHardPuncturedAnchored(coded, Rate1_2, nInfo, anchor); err != nil {
+		var err error
+		if out, err = v.DecodeHardPuncturedAnchored(out, coded, Rate1_2, nInfo, anchor); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,10 +86,12 @@ func benchDecodeSoft(b *testing.B, scalar bool) {
 	dsp.ForceScalar(scalar)
 	defer dsp.ForceScalar(false)
 	v := NewViterbi()
+	var out []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := v.DecodePuncturedAnchored(llrs, Rate1_2, nInfo, anchor); err != nil {
+		var err error
+		if out, err = v.DecodePuncturedAnchored(out, llrs, Rate1_2, nInfo, anchor); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -42,12 +42,14 @@ var int8Pool sync.Pool
 
 // DecodeHardPuncturedAnchored decodes hard coded bits (0/1 per byte) sent
 // at rate r, with nInfo information bits and the zero-state anchor after
-// anchorBit bits. It is DecodePuncturedAnchored(HardToLLR(coded), r,
+// anchorBit bits, into dst when it has the capacity (a fresh slice
+// otherwise). It is DecodePuncturedAnchored(dst, HardToLLR(coded), r,
 // nInfo, anchorBit) bit for bit, on integer path metrics: the bits are
 // depunctured straight into a pooled int8 stream and the forward pass
 // runs the AVX2 kernel when internal/dsp reports AVX2 (and ForceScalar is
-// off), the scalar integer loop otherwise.
-func (v *Viterbi) DecodeHardPuncturedAnchored(coded []byte, r CodeRate, nInfo, anchorBit int) ([]byte, error) {
+// off), the scalar integer loop otherwise. A steady-state decode into a
+// reused dst does not allocate.
+func (v *Viterbi) DecodeHardPuncturedAnchored(dst, coded []byte, r CodeRate, nInfo, anchorBit int) ([]byte, error) {
 	lp, err := depunctureHard(coded, r, nInfo)
 	if err != nil {
 		return nil, err
@@ -62,7 +64,7 @@ func (v *Viterbi) DecodeHardPuncturedAnchored(coded []byte, r CodeRate, nInfo, a
 	dp := getDecisions(nInfo)
 	defer putDecisions(dp)
 	surv := *dp
-	return traceAnchored(surv, forwardHard(*lp, surv), anchorBit), nil
+	return traceAnchored(dst, surv, forwardHard(*lp, surv), anchorBit), nil
 }
 
 // depunctureHard expands the punctured hard bits of nInfo information

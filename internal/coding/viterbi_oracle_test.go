@@ -127,7 +127,7 @@ func decodeInt8(s []int8, anchor int, scalar bool) []byte {
 		return nil
 	}
 	surv := make([]uint64, n)
-	return traceAnchored(surv, forwardHard(s, surv), anchor)
+	return traceAnchored(nil, surv, forwardHard(s, surv), anchor)
 }
 
 // checkAllDecoders requires the float decoder, the integer decoder (both
@@ -257,7 +257,7 @@ func checkHardEntry(t *testing.T, coded []byte, r CodeRate, nInfo, anchor int) {
 		t.Fatal(err)
 	}
 	want := oracleDecode(mother, anchor)
-	float, err := v.DecodePuncturedAnchored(HardToLLR(coded), r, nInfo, anchor)
+	float, err := v.DecodePuncturedAnchored(nil, HardToLLR(coded), r, nInfo, anchor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func checkHardEntry(t *testing.T, coded []byte, r CodeRate, nInfo, anchor int) {
 	}
 	for _, scalar := range []bool{false, true} {
 		dsp.ForceScalar(scalar)
-		got, err := v.DecodeHardPuncturedAnchored(coded, r, nInfo, anchor)
+		got, err := v.DecodeHardPuncturedAnchored(nil, coded, r, nInfo, anchor)
 		dsp.ForceScalar(false)
 		if err != nil {
 			t.Fatal(err)
@@ -407,8 +407,8 @@ func TestViterbiConcurrentShared(t *testing.T) {
 		r[0], err[0] = v.Decode(llrs)
 		r[1], err[1] = v.DecodeAnchored(llrs, n)
 		r[2], err[2] = v.DecodeAnchored(llrs, n/2)
-		r[3], err[3] = v.DecodeHardPuncturedAnchored(coded, Rate1_2, n, n/2)
-		r[4], err[4] = v.DecodePuncturedAnchored(soft, Rate3_4, nSoft, anchor)
+		r[3], err[3] = v.DecodeHardPuncturedAnchored(nil, coded, Rate1_2, n, n/2)
+		r[4], err[4] = v.DecodePuncturedAnchored(nil, soft, Rate3_4, nSoft, anchor)
 		r[5], err[5] = v.DecodePunctured(soft[:48*9], Rate3_4, 48*9*3/4)
 		for _, e := range err {
 			if e != nil {

@@ -2,19 +2,30 @@ package core
 
 import (
 	"fmt"
+	"math/cmplx"
 	"reflect"
 	"slices"
 	"sync"
 
+	"repro/internal/dsp"
 	"repro/internal/kde"
-	"repro/internal/modem"
 	"repro/internal/ofdm"
 	"repro/internal/rx"
 )
 
-// dev is one preamble deviation sample: the amplitude and phase of a
-// received LTF observation's offset from its known lattice point.
-type dev struct{ amp, ph float64 }
+// dev is one preamble deviation sample: a received LTF observation's
+// offset d from its known lattice point, and its amplitude |d|. The
+// phase arg(d) is read only by the KDE fits (pooled, perSegment), which
+// take it with phase(); the model-weighted decision reads amplitudes
+// only, so Train does not pay an atan2 per sample.
+type dev struct {
+	d   complex128
+	amp float64
+}
+
+// phase returns the deviation's phase in (−π, π], as modem.DeviationOf
+// does.
+func (v dev) phase() float64 { return cmplx.Phase(v.d) }
 
 // Training is the preamble-derived interference model for one (frame,
 // segment plan): the per-(segment, subcarrier, LTF symbol) deviations and
@@ -27,7 +38,9 @@ type dev struct{ amp, ph float64 }
 // The Eq. 4 kernel densities are fitted lazily, once per distinct fit
 // configuration (bandwidth selector, kernel kind, background mixture),
 // and cached on the Training; receivers with equal fit options share the
-// fitted models. A Training is immutable after construction apart from
+// fitted models. Only those fits read the deviations' phases, so the
+// training pass stores each deviation and its amplitude and leaves the
+// phase to the first fit. A Training is immutable after construction apart from
 // that cache, which is mutex-guarded, so it is safe to share across
 // receivers and goroutines — until its Train method retrains it in place
 // for the next packet.
@@ -118,9 +131,10 @@ func (t *Training) Train(f *rx.Frame, segments []int) (*Training, error) {
 			want := ofdm.LTFValue(sc)
 			var mean float64
 			for s := 0; s < 2; s++ {
-				d := modem.DeviationOf(obs[s][i], want)
-				t.devs[j][i][s] = dev{d.Amp, d.Phase}
-				mean += d.Amp
+				d := obs[s][i] - want
+				amp := dsp.Abs(d)
+				t.devs[j][i][s] = dev{d, amp}
+				mean += amp
 			}
 			t.scale[j][i] = mean/2 + scaleFloor
 			tot += t.scale[j][i]
@@ -198,7 +212,7 @@ func (t *Training) pooled(cfg Config) ([]*kde.Bivariate, error) {
 		for j := 0; j < P; j++ {
 			for s := 0; s < 2; s++ {
 				amps = append(amps, t.devs[j][i][s].amp)
-				phs = append(phs, t.devs[j][i][s].ph)
+				phs = append(phs, t.devs[j][i][s].phase())
 			}
 		}
 		m, err := fit(amps, phs)
@@ -233,7 +247,7 @@ func (t *Training) perSegment(cfg Config) ([][]*kde.Bivariate, error) {
 		perSeg[j] = make([]*kde.Bivariate, t.nSC)
 		for i := 0; i < t.nSC; i++ {
 			amps := []float64{t.devs[j][i][0].amp, t.devs[j][i][1].amp}
-			phs := []float64{t.devs[j][i][0].ph, t.devs[j][i][1].ph}
+			phs := []float64{t.devs[j][i][0].phase(), t.devs[j][i][1].phase()}
 			m, err := fit(amps, phs)
 			if err != nil {
 				return nil, err

@@ -378,14 +378,12 @@ func Scale(x []complex128, g float64) {
 }
 
 // AddInto accumulates src into dst starting at dst[offset]; samples falling
-// outside dst are ignored, so callers can mix arbitrarily offset signals.
+// outside dst are ignored, and not read, so callers can mix arbitrarily
+// offset signals.
 func AddInto(dst, src []complex128, offset int) {
-	for i, v := range src {
-		j := offset + i
-		if j < 0 || j >= len(dst) {
-			continue
-		}
-		dst[j] += v
+	lo, hi := max(0, -offset), min(len(src), len(dst)-offset)
+	for i := lo; i < hi; i++ {
+		dst[offset+i] += src[i]
 	}
 }
 

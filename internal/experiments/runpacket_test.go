@@ -263,21 +263,23 @@ func TestRunPacketReuseMatchesFresh(t *testing.T) {
 // through RunPacket, after a warm-up packet, at the aci-fresh −6 dB hard
 // point (with the standard and cprecycle arms, and with the Naive and
 // Oracle baselines) and the aci-pooled-soft −10 dB soft point: the frame,
-// demodulator, training and deciders are all reused from the packet
-// pool, leaving each arm's decoded bits and PSDU. Skipped under -race,
-// where sync.Pool drops items at random.
+// demodulator, training, deciders and decoded bits are all reused from
+// the packet and decode pools, leaving one allocation per arm, its PSDU.
+// The soft point may make two more: its waveform pool caches each
+// channel-filtered tile on first pick, and 21 packets do not pick all of
+// them. Skipped under -race, where sync.Pool drops items at random.
 func TestRunPacketAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
-	const maxAllocs = 12
 	for _, c := range []struct {
-		name string
-		plan *PSRPlan
+		name      string
+		plan      *PSRPlan
+		maxAllocs float64
 	}{
-		{"aci-fresh -6 dB", aciPlan(t, -6, 400, 64, []ReceiverKind{Standard, CPRecycle})},
-		{"aci -6 dB naive+oracle", aciPlan(t, -6, 400, 64, []ReceiverKind{Naive, Oracle})},
-		{"aci-pooled-soft -10 dB", softPlan(t)},
+		{"aci-fresh -6 dB", aciPlan(t, -6, 400, 64, []ReceiverKind{Standard, CPRecycle}), 2},
+		{"aci -6 dB naive+oracle", aciPlan(t, -6, 400, 64, []ReceiverKind{Naive, Oracle}), 2},
+		{"aci-pooled-soft -10 dB", softPlan(t), 4},
 	} {
 		ok := make([]bool, len(c.plan.Receivers()))
 		if err := c.plan.RunPacket(0, ok); err != nil {
@@ -291,8 +293,8 @@ func TestRunPacketAllocs(t *testing.T) {
 			}
 		})
 		t.Logf("%s: %.1f allocs per packet", c.name, allocs)
-		if allocs > maxAllocs {
-			t.Errorf("%s: %.1f allocs per packet, want <= %d", c.name, allocs, maxAllocs)
+		if allocs > c.maxAllocs {
+			t.Errorf("%s: %.1f allocs per packet, want <= %v", c.name, allocs, c.maxAllocs)
 		}
 	}
 }
@@ -333,6 +335,39 @@ func BenchmarkRunPacketACI(b *testing.B) {
 func BenchmarkRunPacketAllArms(b *testing.B) {
 	benchRunPacket(b, aciPlan(b, -6, 400, 64, []ReceiverKind{
 		Standard, Naive, Oracle, CPRecycle, CPRecycleNoTrack, CPRecycleKDE, StandardSoft, CPRecycleSoft}))
+}
+
+// BenchmarkRunPacketSmall times whole packets the way the
+// fleet-small-points workload's serial packet loop does: the Fig 8
+// default axis (10 SIRs × 3 MCS, every arm of the figure), 4 packets of
+// 100 bytes per point, one packet at a time, cycling over the points
+// after one warm-up packet each. At 100 bytes most of every fresh
+// interferer tile overhangs the composite.
+func BenchmarkRunPacketSmall(b *testing.B) {
+	sp, err := NewSweepPlan(SweepRequest{Experiment: "fig8", Options: Options{Packets: 4, PSDUBytes: 100, Seed: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	plans := make([]*PSRPlan, len(sp.Points))
+	oks := make([][]bool, len(sp.Points))
+	for i, pt := range sp.Points {
+		if plans[i], err = PlanPSR(pt.Cfg); err != nil {
+			b.Fatal(err)
+		}
+		oks[i] = make([]bool, len(plans[i].Receivers()))
+		if err := plans[i].RunPacket(plans[i].Packets(), oks[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	n := 0
+	for b.Loop() {
+		pi, pkt := n%len(plans), n/len(plans)
+		if err := plans[pi].RunPacket(pkt, oks[pi]); err != nil {
+			b.Fatal(err)
+		}
+		n++
+	}
 }
 
 // benchRunPacket times RunPacket over the plan's packets in turn.

@@ -14,6 +14,13 @@
 // Subcarrier spacing is 312.5 kHz on every grid (the composite band is an
 // oversampled view), so subcarrier offsets translate directly to MHz.
 //
+// Fresh interferer tiles are synthesised windowed: a tile is a whole
+// PPDU, longer than a short victim's stream and overhanging it at both
+// ends, and only the part that lands in the stream (plus the channel
+// filter's taps−1 samples before it) is encoded and modulated. The RNG
+// draws are those of a whole-tile build, so the composite is the same
+// bit for bit.
+//
 // Buffer ownership: Scenario.Run returns a Composite that owns its
 // buffers. Scenario.RunInto reuses a caller's Composite instead — its
 // Samples, InterferenceOnly and Victim.Samples are overwritten in place
@@ -27,6 +34,7 @@ package interference
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/channel"
@@ -160,7 +168,7 @@ func (s *Scenario) RunInto(c *Composite, r *dsp.Rand, psdu []byte, mcs wifi.MCS)
 	if c.Victim == nil {
 		c.Victim = new(wifi.PPDU)
 	}
-	victim, err := wifi.BuildPPDUInto(c.Victim.Samples, vcfg, psdu)
+	victim, err := wifi.BuildPPDUInto(c.Victim.Samples, vcfg, psdu, 0, math.MaxInt)
 	if err != nil {
 		return fmt.Errorf("interference: victim: %w", err)
 	}
@@ -295,17 +303,26 @@ func (s *Scenario) interfererWave(r *dsp.Rand, i int, out []complex128, victimDa
 // build-then-advance loop bit for bit, but the trailing payload — which
 // that loop encoded and then discarded — is only drawn, never encoded,
 // saving one full PPDU build per interferer per packet. Each tile is
-// encoded into sc.tile and filtered straight into out.
+// encoded into sc.tile and filtered straight into out, and only the
+// part of it that lands is built: the samples that overlap out, plus
+// the taps−1 before them that the channel filter reads. Tiles overhang
+// both ends of a packet's stream, so at small PSDUs most of a tile is
+// never synthesised.
 func (s *Scenario) freshTiles(r *dsp.Rand, itf Interferer, g ofdm.Grid, mcs wifi.MCS, out []complex128, victimDataStart, boundary int, sc *synthScratch) error {
 	symLen := g.SymLen()
 	cfg := wifi.TxConfig{Grid: g, MCS: mcs, ScramblerSeed: uint8(1 + r.Intn(127))}
 	payload := wifi.DrawPSDUInto(sc.psdu[:], r)
 	ppduLen := wifi.PPDULen(g, mcs, len(payload))
+	margin := 0
+	if itf.Channel != nil {
+		margin = len(itf.Channel.Taps) - 1
+	}
 	// Choose the first tile position ≡ victimDataStart+boundary (mod symLen)
 	// and at or before sample 0.
 	pos := (victimDataStart+boundary)%symLen - ppduLen
 	for ; pos < len(out); pos += ppduLen {
-		ppdu, err := wifi.BuildPPDUInto(sc.tile, cfg, payload)
+		lo, hi := max(0, -pos)-margin, min(ppduLen, len(out)-pos)
+		ppdu, err := wifi.BuildPPDUInto(sc.tile, cfg, payload, lo, hi)
 		if err != nil {
 			return err
 		}

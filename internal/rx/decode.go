@@ -95,17 +95,19 @@ func decodeData(f *Frame, mcs wifi.MCS, psduLen int, decider SymbolDecider, soft
 	}
 	stageObserve.ObserveSince(obsStart)
 	if soft {
-		return decodeLLRData(sc.llrs, mcs, psduLen, nSyms)
+		return decodeLLRData(sc, mcs, psduLen, nSyms)
 	}
-	return decodeCodedData(sc.coded, mcs, psduLen, nSyms)
+	return decodeCodedData(sc, mcs, psduLen, nSyms)
 }
 
-// decodeScratch is a decode's working set: the packet stream and the
-// per-symbol buffers that fill it. Pooled, so steady-state decoding reuses
-// it; no slice outlives the decode that took it.
+// decodeScratch is a decode's working set: the packet stream, the
+// per-symbol buffers that fill it and the Viterbi decoder's output.
+// Pooled, so steady-state decoding reuses it; no slice outlives the
+// decode that took it.
 type decodeScratch struct {
 	coded  []byte    // hard packet stream, Ncbps per symbol
 	llrs   []float64 // soft packet stream, Ncbps per symbol
+	info   []byte    // the decoded information bits, descrambled in place
 	bits   []byte    // hard: one symbol's coded bits before deinterleaving; soft: one point's bit label
 	blk    []float64 // one symbol's weights before deinterleaving
 	sorted []float64 // normalize's sort buffer
@@ -145,9 +147,9 @@ func hardSymbolBits(f *Frame, decider SymbolDecider, k int, cons *modem.Constell
 }
 
 // decodeCodedData runs the post-decision half of the DATA pipeline on the
-// deinterleaved coded bit stream: depuncture, anchored integer Viterbi,
-// descramble, FCS.
-func decodeCodedData(coded []byte, mcs wifi.MCS, psduLen, nSyms int) (Result, error) {
+// deinterleaved coded bit stream sc.coded: depuncture, anchored integer
+// Viterbi into sc.info, descramble, FCS.
+func decodeCodedData(sc *decodeScratch, mcs wifi.MCS, psduLen, nSyms int) (Result, error) {
 	defer stageDecode.ObserveSince(time.Now())
 	nInfo := nSyms * mcs.Ndbps
 	vit := coding.NewViterbi()
@@ -157,15 +159,17 @@ func decodeCodedData(coded []byte, mcs wifi.MCS, psduLen, nSyms int) (Result, er
 	// channel errors can never corrupt PSDU bits (best-final-state
 	// traceback can reach into the payload when the pad is shorter than
 	// the survivor-merge depth).
-	bits, err := vit.DecodeHardPuncturedAnchored(coded, mcs.Rate, nInfo, wifi.DataAnchorBit(psduLen, nInfo))
+	bits, err := vit.DecodeHardPuncturedAnchored(sc.info, sc.coded, mcs.Rate, nInfo, wifi.DataAnchorBit(psduLen, nInfo))
 	if err != nil {
 		return Result{}, err
 	}
+	sc.info = bits
 	return finishData(bits, psduLen)
 }
 
-// finishData descrambles decoded DATA bits (recovering the scrambler seed
-// from the seven zero SERVICE bits), extracts the PSDU and checks its FCS.
+// finishData descrambles decoded DATA bits in place (recovering the
+// scrambler seed from the seven zero SERVICE bits), extracts the PSDU and
+// checks its FCS. The PSDU is its one allocation.
 func finishData(bits []byte, psduLen int) (Result, error) {
 	if len(bits) < 16+8*psduLen {
 		return Result{}, fmt.Errorf("rx: %d decoded bits for %d-octet PSDU", len(bits), psduLen)

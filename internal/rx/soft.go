@@ -92,15 +92,16 @@ func softSymbolLLRs(f *Frame, soft SoftSymbolDecider, k int, cons *modem.Constel
 }
 
 // decodeLLRData runs the soft Viterbi over a packet's assembled LLR
-// stream and finishes the PSDU.
-func decodeLLRData(llrs []float64, mcs wifi.MCS, psduLen, nSyms int) (Result, error) {
+// stream sc.llrs into sc.info and finishes the PSDU.
+func decodeLLRData(sc *decodeScratch, mcs wifi.MCS, psduLen, nSyms int) (Result, error) {
 	defer stageDecode.ObserveSince(time.Now())
 	nInfo := nSyms * mcs.Ndbps
 	vit := coding.NewViterbi()
-	bits, err := vit.DecodePuncturedAnchored(llrs, mcs.Rate, nInfo, wifi.DataAnchorBit(psduLen, nInfo))
+	bits, err := vit.DecodePuncturedAnchored(sc.info, sc.llrs, mcs.Rate, nInfo, wifi.DataAnchorBit(psduLen, nInfo))
 	if err != nil {
 		return Result{}, err
 	}
+	sc.info = bits
 	return finishData(bits, psduLen)
 }
 

@@ -2,6 +2,7 @@ package wifi
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/coding"
@@ -74,25 +75,35 @@ func DataAnchorBit(psduLen, nInfo int) int {
 
 // BuildPPDU encodes a PSDU into a complete PPDU waveform.
 func BuildPPDU(cfg TxConfig, psdu []byte) (*PPDU, error) {
-	p, err := BuildPPDUInto(nil, cfg, psdu)
+	p, err := BuildPPDUInto(nil, cfg, psdu, 0, math.MaxInt)
 	if err != nil {
 		return nil, err
 	}
 	return &p, nil
 }
 
-// BuildPPDUInto is BuildPPDU writing the waveform into buf: the returned
-// PPDU's Samples is buf[:total] when buf has the capacity (a fresh slice
-// otherwise), and every one of its samples is written, so buf may hold
-// stale data. The encoder's working set — modulator, bin and coded-bit
-// buffers — comes from a pool, so with a large enough buf a steady-state
-// call does not allocate.
-func BuildPPDUInto(buf []complex128, cfg TxConfig, psdu []byte) (PPDU, error) {
+// BuildPPDUInto is BuildPPDU writing only the samples in the window
+// [lo, hi) of the waveform into buf; the window is clamped to the PPDU,
+// so [0, math.MaxInt) builds it whole. The returned PPDU's Samples is
+// buf[:total] when buf has the capacity (a fresh slice otherwise). Every
+// sample in the window is written; samples outside it are unspecified,
+// so buf may hold stale data. A window skips the preamble, SIGNAL and
+// DATA symbols it does not overlap, and the DATA bit pipeline encodes
+// only the information bits of the symbols it does: a transmitter whose
+// waveform overhangs the receiver's stream pays only for what lands.
+// The encoder's working set — modulator, bin and coded-bit buffers —
+// comes from a pool, so with a large enough buf a steady-state call does
+// not allocate.
+func BuildPPDUInto(buf []complex128, cfg TxConfig, psdu []byte, lo, hi int) (PPDU, error) {
 	if err := cfg.Grid.Validate(); err != nil {
 		return PPDU{}, err
 	}
 	if len(psdu) < 1 || len(psdu) > MaxPSDULen {
 		return PPDU{}, fmt.Errorf("wifi: PSDU length %d outside [1,%d]", len(psdu), MaxPSDULen)
+	}
+	m := cfg.MCS
+	if m.Ndbps <= 0 || m.Ndbps%m.Rate.Num() != 0 || m.Ndbps*m.Rate.Den() != m.Ncbps*m.Rate.Num() {
+		return PPDU{}, fmt.Errorf("wifi: MCS %q: %d data bits per symbol are not whole puncturing periods of %d coded bits", m.Name, m.Ndbps, m.Ncbps)
 	}
 	s := txPool.Get().(*txScratch)
 	defer txPool.Put(s)
@@ -106,7 +117,7 @@ func BuildPPDUInto(buf []complex128, cfg TxConfig, psdu []byte) (PPDU, error) {
 	}
 
 	p := PPDU{Cfg: cfg, PSDULen: len(psdu)}
-	p.NumDataSymbols = cfg.MCS.SymbolsForPSDU(len(psdu))
+	p.NumDataSymbols = m.SymbolsForPSDU(len(psdu))
 	p.PreambleLen = ofdm.PreambleLen(cfg.Grid)
 	p.SignalStart = p.PreambleLen
 	p.DataStart = p.SignalStart + cfg.Grid.SymLen()
@@ -117,19 +128,30 @@ func BuildPPDUInto(buf []complex128, cfg TxConfig, psdu []byte) (PPDU, error) {
 		buf = make([]complex128, total)
 	}
 	p.Samples = buf[:total]
-
-	ofdm.PreambleInto(p.Samples[:p.PreambleLen], mod, gain)
-
-	// SIGNAL symbol: BPSK, pilot polarity p₀.
-	s.coded = encodeSignalSymbolInto(s.blk[:48], s.coded, cfg.MCS, len(psdu))
+	lo, hi = max(lo, 0), min(hi, total)
 	if len(s.bins) != cfg.Grid.NFFT {
 		s.bins = make([]complex128, cfg.Grid.NFFT)
 	}
-	assembleSymbolInto(p.Samples[p.SignalStart:p.SignalStart+symLen], s.bins, mod, modem.New(modem.BPSK), s.blk[:48], 0, gain)
+
+	if lo < p.PreambleLen {
+		ofdm.PreambleInto(p.Samples[:p.PreambleLen], mod, gain)
+	}
+	if lo < p.DataStart && hi > p.SignalStart {
+		// SIGNAL symbol: BPSK, pilot polarity p₀.
+		s.coded = encodeSignalSymbolInto(s.blk[:48], s.coded, m, len(psdu))
+		assembleSymbolInto(p.Samples[p.SignalStart:p.DataStart], s.bins, mod, modem.New(modem.BPSK), s.blk[:48], 0, gain)
+	}
+
+	// The DATA symbols [k0, k1) overlap the window.
+	k0 := max(0, (lo-p.DataStart)/symLen)
+	k1 := min(p.NumDataSymbols, max(0, (hi-p.DataStart+symLen-1)/symLen))
+	if k0 >= k1 {
+		return p, nil
+	}
 
 	// DATA field bit pipeline (§18.3.5.4-7): SERVICE(16 zeros) + PSDU +
-	// tail + pad.
-	nBits := p.NumDataSymbols * cfg.MCS.Ndbps
+	// tail + pad, scrambled whole (the scrambler is sequential and cheap).
+	nBits := p.NumDataSymbols * m.Ndbps
 	bits := append(s.bits[:0], make([]byte, 16)...)
 	bits = coding.AppendBits(bits, psdu)
 	bits = append(bits, make([]byte, nBits-len(bits))...)
@@ -139,22 +161,24 @@ func BuildPPDUInto(buf []complex128, cfg TxConfig, psdu []byte) (PPDU, error) {
 	for i := 0; i < 6; i++ { // tail bits are forced to zero after scrambling
 		bits[tailPos+i] = 0
 	}
-	s.coded = coding.AppendConvEncode(s.coded[:0], bits)
-	s.punct = coding.AppendPuncture(s.punct[:0], s.coded, cfg.MCS.Rate)
-	coded := s.punct
-	il, err := DataInterleaver(cfg.MCS)
+	il, err := DataInterleaver(m)
 	if err != nil {
 		return PPDU{}, err
 	}
-	cons := modem.New(cfg.MCS.Scheme)
-
-	ncbps := cfg.MCS.Ncbps
-	if len(s.blk) < ncbps {
-		s.blk = make([]byte, ncbps)
+	cons := modem.New(m.Scheme)
+	if len(s.blk) < m.Ncbps {
+		s.blk = make([]byte, m.Ncbps)
 	}
-	blk := s.blk[:ncbps]
-	for k := 0; k < p.NumDataSymbols; k++ {
-		il.InterleaveInto(blk, coded[k*ncbps:(k+1)*ncbps])
+	blk := s.blk[:m.Ncbps]
+	// Symbol k carries information bits [k·Ndbps, (k+1)·Ndbps). Ndbps is
+	// a whole number of puncturing periods, so each symbol's block
+	// punctures from the pattern's start, and the encoder's state at the
+	// block is the six bits before it: encoding the block alone gives
+	// the symbol's slice of the whole stream's coded bits.
+	for k := k0; k < k1; k++ {
+		s.coded = coding.AppendConvEncodeRange(s.coded[:0], bits, k*m.Ndbps, (k+1)*m.Ndbps)
+		s.punct = coding.AppendPuncture(s.punct[:0], s.coded, m.Rate)
+		il.InterleaveInto(blk, s.punct)
 		start := p.DataStart + k*symLen
 		assembleSymbolInto(p.Samples[start:start+symLen], s.bins, mod, cons, blk, k+1, gain)
 	}

@@ -270,7 +270,7 @@ func decodePPDU(t *testing.T, p *PPDU) []byte {
 	// the scrambled pad bits leave the encoder in a nonzero state, so a
 	// plain terminated traceback can corrupt payload bits when the pad is
 	// shorter than the survivor-merge depth.
-	bits, err := v.DecodePuncturedAnchored(coding.HardToLLR(coded), p.Cfg.MCS.Rate, nInfo, DataAnchorBit(p.PSDULen, nInfo))
+	bits, err := v.DecodePuncturedAnchored(nil, coding.HardToLLR(coded), p.Cfg.MCS.Rate, nInfo, DataAnchorBit(p.PSDULen, nInfo))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestBuildPPDUIntoDirtyBuffer(t *testing.T) {
 				for i := range buf {
 					buf[i] = nan
 				}
-				got, err := BuildPPDUInto(buf, cfg, psdu)
+				got, err := BuildPPDUInto(buf, cfg, psdu, 0, math.MaxInt)
 				if err != nil {
 					t.Fatal(err)
 				}
