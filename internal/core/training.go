@@ -40,10 +40,10 @@ func (v dev) phase() float64 { return cmplx.Phase(v.d) }
 // and cached on the Training; receivers with equal fit options share the
 // fitted models. Only those fits read the deviations' phases, so the
 // training pass stores each deviation and its amplitude and leaves the
-// phase to the first fit. A Training is immutable after construction apart from
-// that cache, which is mutex-guarded, so it is safe to share across
-// receivers and goroutines — until its Train method retrains it in place
-// for the next packet.
+// phase to the first fit. A Training is immutable after construction
+// apart from that cache, which is mutex-guarded, so it is safe to share
+// across receivers and goroutines — until its Train method retrains it
+// in place for the next packet.
 type Training struct {
 	segments []int
 	nSC      int
