@@ -23,8 +23,7 @@ type dev struct {
 	amp float64
 }
 
-// phase returns the deviation's phase in (−π, π], as modem.DeviationOf
-// does.
+// phase returns the deviation's phase arg(d) in (−π, π].
 func (v dev) phase() float64 { return cmplx.Phase(v.d) }
 
 // Training is the preamble-derived interference model for one (frame,

@@ -31,8 +31,10 @@ type pinCase struct {
 // 64-QAM 3/4, the first at its default 16-QAM 1/2), no channel, the
 // two-tap indoor channel and a three-tap exponential one, fresh and
 // pooled tiles, 40- to 1500-byte PSDUs, and drawn and fixed boundary
-// offsets. One Composite is reused across the cases, so the pin also
-// covers buffers left dirty by a larger packet.
+// offsets. At Q = 1 a boundary of 59 starts the stream one sample into
+// a symbol of the first tile, so the three-tap channel reads the
+// sample before the symbol. One Composite is reused across the cases,
+// so the pin also covers buffers left dirty by a larger packet.
 func TestCompositePinned(t *testing.T) {
 	m := qpsk(t)
 	second, err := wifi.MCSByName("64-QAM 3/4")
@@ -57,6 +59,7 @@ func TestCompositePinned(t *testing.T) {
 		{q: 1, interferers: 1, psduBytes: 100, ch: "2tap", pool: true, boundary: 40, want: 0x877bd14265ea5d89},
 		{q: 4, interferers: 1, psduBytes: 40, ch: "none", pool: true, want: 0x7dc0d0cf4d06fa13},
 		{q: 4, interferers: 2, psduBytes: 400, ch: "exp3", pool: true, want: 0x0d65584d7453d070},
+		{q: 1, interferers: 1, psduBytes: 100, ch: "exp3", boundary: 59, want: 0x0286865f4e05e934},
 	}
 	var c Composite
 	for i, pc := range cases {

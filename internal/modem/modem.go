@@ -13,8 +13,6 @@ import (
 	"math"
 	"math/cmplx"
 	"sync"
-
-	"repro/internal/dsp"
 )
 
 // Scheme identifies a modulation scheme.
@@ -334,19 +332,4 @@ func (c *Constellation) AveragePower() float64 {
 
 func sqAbs(v complex128) float64 {
 	return real(v)*real(v) + imag(v)*imag(v)
-}
-
-// Deviation describes a received point relative to a lattice point in the
-// decoupled amplitude/phase coordinates the paper's interference model uses
-// (§4.1): A(X̂−X) and Φ(X̂−X).
-type Deviation struct {
-	Amp   float64 // |X̂ − X|
-	Phase float64 // arg(X̂ − X) in (−π, π]
-}
-
-// DeviationOf returns the amplitude/phase deviation of received sample rx
-// from lattice point ref.
-func DeviationOf(rx, ref complex128) Deviation {
-	d := rx - ref
-	return Deviation{Amp: dsp.Abs(d), Phase: cmplx.Phase(d)}
 }

@@ -369,17 +369,6 @@ func TestLLRConsistentWithHardDecision(t *testing.T) {
 	}
 }
 
-func TestDeviationOf(t *testing.T) {
-	d := DeviationOf(1+1i, 1)
-	if math.Abs(d.Amp-1) > 1e-12 || math.Abs(d.Phase-math.Pi/2) > 1e-12 {
-		t.Fatalf("DeviationOf = %+v", d)
-	}
-	z := DeviationOf(2-3i, 2-3i)
-	if z.Amp != 0 {
-		t.Fatalf("zero deviation amp = %v", z.Amp)
-	}
-}
-
 func BenchmarkNearest64QAM(b *testing.B) {
 	c := New(QAM64)
 	r := dsp.NewRand(1)
