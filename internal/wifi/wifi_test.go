@@ -357,37 +357,126 @@ func BenchmarkBuildPPDU400B(b *testing.B) {
 	}
 }
 
-// TestBuildPPDUIntoDirtyBuffer pins that BuildPPDUInto writes every sample
-// of its buffer: one pre-filled with NaN (which compares unequal to
-// everything) must come back equal to a fresh BuildPPDU, with the same
-// layout, across MCSs and grids and for a buffer reused at a shorter
-// length.
+// TestBuildPPDUIntoDirtyBuffer pins the window contract of
+// BuildPPDUInto on a buffer pre-filled with NaN: every sample inside
+// [lo, hi) comes back equal, by Float64bits, to a fresh BuildPPDU, with
+// the same layout and in the caller's buffer, and a DATA symbol wholly
+// outside the window is never synthesised (its NaN survives). It runs
+// across MCSs, grids and two PSDU lengths (so the buffer is reused at a
+// shorter length), for the whole PPDU and for windows on the preamble,
+// SIGNAL and DATA symbol edges, a two-sample margin before an edge (a
+// three-tap channel's taps−1), single samples, an empty window and
+// windows that overhang either end.
 func TestBuildPPDUIntoDirtyBuffer(t *testing.T) {
 	nan := complex(math.NaN(), math.NaN())
 	buf := make([]complex128, 40000)
 	for _, g := range []ofdm.Grid{ofdm.Native80211Grid(), ofdm.WideGrid(64, 16, 4, 64)} {
+		symLen := g.SymLen()
 		for _, m := range StandardMCS() {
 			for _, n := range []int{300, 40} {
 				cfg := TxConfig{Grid: g, MCS: m, ScramblerSeed: uint8(n)}
 				psdu := BuildPSDU(dsp.NewRand(int64(n)).Bytes(n))
 				want := mustPPDU(t, cfg, psdu)
-				for i := range buf {
-					buf[i] = nan
+				total, ds, sig := len(want.Samples), want.DataStart, want.SignalStart
+				mid := ds + (want.NumDataSymbols/2)*symLen
+				windows := [][2]int{
+					{0, math.MaxInt}, {-50, total}, {0, sig}, {sig, ds}, {sig - 1, sig + 1},
+					{ds, ds + symLen}, {ds - 2, ds + 1}, {mid, mid + symLen}, {mid - 2, mid + 3*symLen},
+					{mid + 7, mid + 8}, {mid, total}, {total - 1, total + 100}, {-300, 1}, {mid, mid},
 				}
-				got, err := BuildPPDUInto(buf, cfg, psdu, 0, math.MaxInt)
-				if err != nil {
-					t.Fatal(err)
+				for _, w := range windows {
+					for i := range buf {
+						buf[i] = nan
+					}
+					got, err := BuildPPDUInto(buf, cfg, psdu, w[0], w[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if &got.Samples[0] != &buf[0] {
+						t.Fatalf("%s: BuildPPDUInto did not reuse a large enough buffer", m.Name)
+					}
+					if len(got.Samples) != total || got.DataStart != ds || got.NumDataSymbols != want.NumDataSymbols {
+						t.Fatalf("%s window %v: layout %d/%d/%d, want %d/%d/%d", m.Name, w, len(got.Samples),
+							got.DataStart, got.NumDataSymbols, total, ds, want.NumDataSymbols)
+					}
+					lo, hi := max(w[0], 0), min(w[1], total)
+					for i := lo; i < hi; i++ {
+						if !sameSample(got.Samples[i], want.Samples[i]) {
+							t.Fatalf("%s grid %+v psdu %d window %v: sample %d = %v, want %v",
+								m.Name, g, n, w, i, got.Samples[i], want.Samples[i])
+						}
+					}
+					for k := range want.NumDataSymbols {
+						if start := ds + k*symLen; (start+symLen <= lo || start >= hi) && !math.IsNaN(real(got.Samples[start])) {
+							t.Fatalf("%s grid %+v psdu %d window %v: DATA symbol %d lies outside the window but was built",
+								m.Name, g, n, w, k)
+						}
+					}
 				}
-				if &got.Samples[0] != &buf[0] {
-					t.Fatalf("%s: BuildPPDUInto did not reuse a large enough buffer", m.Name)
+			}
+		}
+	}
+}
+
+// wholeStreamPPDU is the encoder the windowed builder replaced, kept as
+// the reference: it scrambles, encodes and punctures the whole DATA
+// field in one pass and only then cuts it into symbols.
+func wholeStreamPPDU(t *testing.T, cfg TxConfig, psdu []byte) []complex128 {
+	t.Helper()
+	m := cfg.MCS
+	mod := ofdm.MustModulator(cfg.Grid)
+	gain := mod.GainForUnitPower(52)
+	nSym := m.SymbolsForPSDU(len(psdu))
+	symLen, pre := cfg.Grid.SymLen(), ofdm.PreambleLen(cfg.Grid)
+	out := make([]complex128, pre+(1+nSym)*symLen)
+	ofdm.PreambleInto(out[:pre], mod, gain)
+	bins := make([]complex128, cfg.Grid.NFFT)
+	sig := make([]byte, 48)
+	encodeSignalSymbolInto(sig, nil, m, len(psdu))
+	assembleSymbolInto(out[pre:pre+symLen], bins, mod, modem.New(modem.BPSK), sig, 0, gain)
+
+	bits := coding.AppendBits(make([]byte, 16), psdu)
+	bits = append(bits, make([]byte, nSym*m.Ndbps-len(bits))...)
+	coding.NewScrambler(cfg.ScramblerSeed).Apply(bits)
+	clear(bits[16+8*len(psdu) : 16+8*len(psdu)+6])
+	coded := coding.Puncture(coding.ConvEncode(bits), m.Rate)
+	il, err := DataInterleaver(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := make([]byte, m.Ncbps)
+	for k := range nSym {
+		il.InterleaveInto(blk, coded[k*m.Ncbps:(k+1)*m.Ncbps])
+		start := pre + (1+k)*symLen
+		assembleSymbolInto(out[start:start+symLen], bins, mod, modem.New(m.Scheme), blk, k+1, gain)
+	}
+	return out
+}
+
+// sameSample reports whether a and b are bit-identical.
+func sameSample(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+// TestBuildPPDUMatchesWholeStream pins the block-by-block DATA pipeline
+// against the whole-stream reference by Float64bits, at every standard
+// MCS on the native and a 4× grid, for PSDUs that leave no pad, a short
+// pad and a long one.
+func TestBuildPPDUMatchesWholeStream(t *testing.T) {
+	for _, g := range []ofdm.Grid{ofdm.Native80211Grid(), ofdm.WideGrid(64, 16, 4, 64)} {
+		for _, m := range StandardMCS() {
+			for _, n := range []int{1, 40, 301} {
+				cfg := TxConfig{Grid: g, MCS: m, ScramblerSeed: uint8(n)}
+				psdu := BuildPSDU(dsp.NewRand(int64(n)).Bytes(n))
+				want := wholeStreamPPDU(t, cfg, psdu)
+				got := mustPPDU(t, cfg, psdu).Samples
+				if len(got) != len(want) {
+					t.Fatalf("%s grid %+v psdu %d: %d samples, want %d", m.Name, g, n, len(got), len(want))
 				}
-				if len(got.Samples) != len(want.Samples) || got.DataStart != want.DataStart || got.NumDataSymbols != want.NumDataSymbols {
-					t.Fatalf("%s: layout %d/%d/%d, want %d/%d/%d", m.Name, len(got.Samples), got.DataStart, got.NumDataSymbols,
-						len(want.Samples), want.DataStart, want.NumDataSymbols)
-				}
-				for i, v := range want.Samples {
-					if got.Samples[i] != v {
-						t.Fatalf("%s grid %+v psdu %d: sample %d = %v, want %v", m.Name, g, n, i, got.Samples[i], v)
+				for i := range want {
+					if !sameSample(got[i], want[i]) {
+						t.Fatalf("%s grid %+v psdu %d: sample %d = %v, want %v", m.Name, g, n, i, got[i], want[i])
 					}
 				}
 			}
